@@ -15,8 +15,9 @@ deterministic in (config, seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class ChannelSettings:
     angle_spread: float = 0.05
     distance_spread_frac: float = 0.1
     power_decay_rate: float = 0.5
-    angle_range: tuple = (-0.866, 0.866)  # 120 degree sector
+    angle_range: tuple[float, float] = (-0.866, 0.866)  # 120 degree sector
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,6 @@ class RecoverySettings:
 
 @dataclass(frozen=True)
 class SideInfoSettings:
-    temporal_gain: float = 0.0
-    temporal_width: float = 1.0
     decay_floor: Optional[float] = None
 
 
@@ -91,6 +90,17 @@ class PartitionSettings:
     trials: int = 64
 
 
+_YAML_NAMES = {
+    "array.carrier_freq": "array.carrier_freq_hz",
+    "array.element_spacing": "array.element_spacing_m",
+    "subcarrier_count": "subcarriers.count",
+    "subcarrier_spacing": "subcarriers.spacing_hz",
+    "pilot_fraction": "pilot.fraction",
+    "dictionary.r_min": "dictionary.r_min_m",
+}
+"""Config-file names of the fields whose file name differs from the field path."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs; see from_dict for the file schema."""
@@ -100,16 +110,17 @@ class ExperimentConfig:
     subcarrier_spacing: float = 240e3
     channel: ChannelSettings = field(default_factory=ChannelSettings)
     pilot_fraction: float = 0.5
-    snr_db: tuple = (10.0,)
-    distances: tuple = ()  # filled from rayleigh fractions when empty
-    rayleigh_fracs: tuple = DEFAULT_RAYLEIGH_FRACS
-    methods: tuple = VALID_METHODS
+    snr_db: tuple[float, ...] = (10.0,)
+    distances: tuple[float, ...] = ()  # filled from rayleigh fractions when empty
+    rayleigh_fracs: tuple[float, ...] = DEFAULT_RAYLEIGH_FRACS
+    methods: tuple[str, ...] = VALID_METHODS
     trials: int = 100
     seed: int = 20260501
     dictionary: DictionarySettings = field(default_factory=DictionarySettings)
     recovery: RecoverySettings = field(default_factory=RecoverySettings)
     side_information: SideInfoSettings = field(default_factory=SideInfoSettings)
     precoding: PrecodingSettings = field(default_factory=PrecodingSettings)
+    partition: PartitionSettings = field(default_factory=PartitionSettings)
     output: Optional[str] = None
 
     def __post_init__(self):
@@ -141,10 +152,11 @@ class ExperimentConfig:
         return max(1, round(self.pilot_fraction * self.array.num_antennas))
 
     @classmethod
-    def from_dict(cls, raw: Optional[dict]) -> "ExperimentConfig":
+    def from_dict(cls, raw: Optional[Mapping]) -> "ExperimentConfig":
         """Build a config from a nested mapping (the YAML schema).
 
-        Sections and keys, all optional:
+        Every key is optional and falls back to the field default; a key
+        outside this schema raises ConfigurationError naming it.
           array:      num_antennas, carrier_freq_hz, element_spacing_m
           subcarriers: count, spacing_hz
           channel:    num_users, paths_per_user, angle_spread,
@@ -157,80 +169,80 @@ class ExperimentConfig:
           trials, seed, output
           dictionary: oversampling, block_length, beta, r_min_m
           recovery:   max_blocks, residual_tolerance (null = SNR-matched)
-          side_information: temporal_gain, temporal_width, decay_floor
+          side_information: decay_floor
           precoding:  num_rx_antennas, num_streams, num_rf_chains
-          partition:  eta, trials
+          partition:  eta, trials (the partition subcommand's profile)
         """
-        raw = dict(raw or {})
-        arr = dict(raw.get("array") or {})
-        sub = dict(raw.get("subcarriers") or {})
-        array = ArrayConfig(
-            int(arr.get("num_antennas", 256)),
-            float(arr.get("carrier_freq_hz", 30e9)),
-            arr.get("element_spacing_m"),
-        )
-        chan = dict(raw.get("channel") or {})
-        channel = ChannelSettings(
-            num_users=int(chan.get("num_users", 4)),
-            paths_per_user=int(chan.get("paths_per_user", 6)),
-            angle_spread=float(chan.get("angle_spread", 0.05)),
-            distance_spread_frac=float(chan.get("distance_spread_frac", 0.1)),
-            power_decay_rate=float(chan.get("power_decay_rate", 0.5)),
-            angle_range=tuple(chan.get("angle_range", (-0.866, 0.866))),
-        )
-        dic = dict(raw.get("dictionary") or {})
-        dictionary = DictionarySettings(
-            oversampling=int(dic.get("oversampling", 1)),
-            block_length=int(dic.get("block_length", 4)),
-            beta=float(dic.get("beta", DEFAULT_POLAR_BETA)),
-            r_min=float(dic.get("r_min_m", DEFAULT_POLAR_R_MIN)),
-        )
-        rec = dict(raw.get("recovery") or {})
-        tol = rec.get("residual_tolerance", 0.0)
-        recovery = RecoverySettings(
-            max_blocks=int(rec.get("max_blocks", 4)),
-            residual_tolerance=None if tol is None else float(tol),
-        )
-        si = dict(raw.get("side_information") or {})
-        decay = si.get("decay_floor", None)
-        side_information = SideInfoSettings(
-            temporal_gain=float(si.get("temporal_gain", 0.0)),
-            temporal_width=float(si.get("temporal_width", 1.0)),
-            decay_floor=None if decay is None else float(decay),
-        )
-        pre = dict(raw.get("precoding") or {})
-        precoding = PrecodingSettings(
-            num_rx_antennas=int(pre.get("num_rx_antennas", 4)),
-            num_streams=int(pre.get("num_streams", 2)),
-            num_rf_chains=int(pre.get("num_rf_chains", 4)),
-        )
-        snr = raw.get("snr_db", (10.0,))
-        if isinstance(snr, (int, float)):
-            snr = (snr,)
-        return cls(
-            array=array,
-            subcarrier_count=int(sub.get("count", 4)),
-            subcarrier_spacing=float(sub.get("spacing_hz", 240e3)),
-            channel=channel,
-            pilot_fraction=float(dict(raw.get("pilot") or {}).get("fraction", 0.5)),
-            snr_db=tuple(float(s) for s in snr),
-            distances=tuple(float(r) for r in raw.get("distances", ())),
-            rayleigh_fracs=tuple(float(f) for f in raw.get("rayleigh_fracs", DEFAULT_RAYLEIGH_FRACS)),
-            methods=tuple(raw.get("methods", VALID_METHODS)),
-            trials=int(raw.get("trials", 100)),
-            seed=int(raw.get("seed", 20260501)),
-            dictionary=dictionary,
-            recovery=recovery,
-            side_information=side_information,
-            precoding=precoding,
-            output=raw.get("output"),
-        )
+        if raw is not None and not isinstance(raw, Mapping):
+            raise ConfigurationError("a config must be a mapping")
+        schema = _schema(cls)
+        sections = {key.split(".")[0] for key in schema if "." in key}
+        flat = {}
+        for key, value in (raw or {}).items():
+            if key not in sections:
+                flat[key] = value
+            elif value is None or isinstance(value, Mapping):
+                flat.update((f"{key}.{sub}", v) for sub, v in (value or {}).items())
+            else:
+                raise ConfigurationError(f"config section {key!r} must be a mapping")
+        values: dict = {}
+        for key, value in flat.items():
+            if key not in schema:
+                raise ConfigurationError(f"unknown config key {key!r}")
+            path, hint = schema[key]
+            section, _, name = path.rpartition(".")
+            values.setdefault(section, {})[name] = _coerce(key, hint, value)
+        top = values.pop("", {})
+        for f in fields(cls):
+            if f.name in values:
+                default = f.default_factory()
+                # fields without a class default keep the preset's value
+                required = {
+                    g.name: getattr(default, g.name)
+                    for g in fields(default)
+                    if g.default is MISSING and g.default_factory is MISSING
+                }
+                top[f.name] = type(default)(**{**required, **values[f.name]})
+        return cls(**top)
 
-    def partition_settings(self, raw: Optional[dict] = None) -> PartitionSettings:
-        part = dict(raw or {})
-        return PartitionSettings(
-            eta=float(part.get("eta", 0.95)), trials=int(part.get("trials", 64))
-        )
+
+def _schema(cls) -> dict:
+    """Config-file key -> (field path, type hint) of every settable value;
+    a section is a field whose default is a dataclass."""
+    schema = {}
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        default = f.default_factory() if f.default_factory is not MISSING else None
+        if is_dataclass(default):
+            sub_hints = get_type_hints(type(default))
+            paths = {f"{f.name}.{g.name}": sub_hints[g.name] for g in fields(default)}
+        else:
+            paths = {f.name: hints[f.name]}
+        for path, hint in paths.items():
+            schema[_YAML_NAMES.get(path, path)] = (path, hint)
+    return schema
+
+
+def _coerce(key: str, hint, value):
+    """Convert a config-file value to its field type: int, float, str, an
+    Optional of one (None passes) or a tuple of one (a number becomes a
+    one-element tuple)."""
+    if get_origin(hint) is Union:
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    try:
+        if get_origin(hint) is not tuple:
+            return hint(value)
+        if isinstance(value, (int, float)):
+            value = (value,)
+        item_types = get_args(hint)
+        items = tuple(item_types[0](v) for v in value)
+        if item_types[-1] is not Ellipsis and len(items) != len(item_types):
+            raise ValueError(f"expected {len(item_types)} entries, got {len(items)}")
+        return items
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config key {key!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -258,7 +270,16 @@ def _child_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(tuple(int(k) for k in keys)).generate_state(1)[0])
 
 
-class _Workbench:
+def _dictionaries(cfg: ExperimentConfig):
+    """The angular and polar dictionaries of a config."""
+    d = cfg.dictionary
+    return (
+        build_angular_dictionary(cfg.array, d.oversampling, d.block_length),
+        build_polar_dictionary(cfg.array, d.beta, d.r_min, d.block_length),
+    )
+
+
+class Workbench:
     """Per-config context: pilot, dictionaries, and measurement matrices,
     built once and shared across every trial."""
 
@@ -267,20 +288,12 @@ class _Workbench:
         self.array = cfg.array
         self.grid = SubcarrierGrid(cfg.subcarrier_count, cfg.array.carrier_freq, cfg.subcarrier_spacing)
         self.pilot = make_pilot_matrix(cfg.pilot_count, cfg.array.num_antennas, _child_seed(cfg.seed, 0))
-        self.angular = build_angular_dictionary(
-            cfg.array, cfg.dictionary.oversampling, cfg.dictionary.block_length
-        )
-        self.polar = build_polar_dictionary(
-            cfg.array, cfg.dictionary.beta, cfg.dictionary.r_min, cfg.dictionary.block_length
-        )
+        self.angular, self.polar = _dictionaries(cfg)
         self.mm_angular = measurement_matrix(self.pilot, self.angular)
         self.mm_polar = measurement_matrix(self.pilot, self.polar)
         self.polar_atom_partition = BlockPartition.uniform(self.polar.num_atoms, 1)
-        si = cfg.side_information
-        if si.temporal_gain > 0 or si.decay_floor is not None:
-            self.si = SideInformation((), si.temporal_gain, si.temporal_width, si.decay_floor)
-        else:
-            self.si = None
+        decay_floor = cfg.side_information.decay_floor
+        self.si = SideInformation(decay_floor=decay_floor) if decay_floor is not None else None
 
     def residual_tolerance(self, snr_db: float) -> float:
         tol = self.cfg.recovery.residual_tolerance
@@ -334,27 +347,34 @@ class _Workbench:
             return result.reconstructed_channels
         raise ConfigurationError(f"unknown method {method!r}")
 
+    def nmse_trial(self, idx: int, trial: int, distance: float, snr_db: float) -> dict:
+        """Per method, the NMSE in dB of one trial, averaged over its users.
+        ``idx`` is the sweep index that keys the channel and noise seeds."""
+        cfg = self.cfg
+        per_user = {m: [] for m in cfg.methods}
+        for user in range(cfg.channel.num_users):
+            channel = self.draw_channel(distance, idx, trial, user)
+            obs = observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user))
+            truth = channel.per_subcarrier_channels
+            for m in cfg.methods:
+                per_user[m].append(nmse(self.estimate(m, obs, snr_db), truth))
+        return {m: float(np.mean(values)) for m, values in per_user.items()}
 
-def _sweep(cfg: ExperimentConfig, xs, make_obs, out_path) -> list:
-    """Shared aggregation loop: per x and method, mean/stderr of per-trial NMSE
-    in dB (each trial averages its users)."""
-    bench = _Workbench(cfg)
+
+def _sweep(cfg: ExperimentConfig, xs, labels, trial_values, out_path) -> list:
+    """Shared aggregation loop: per x and label, the mean and standard error
+    over trials of trial_values(x_idx, x, trial)[label]; writes the CSV when
+    out_path is set."""
     points: list = []
     for x_idx, x in enumerate(xs):
-        samples = {m: np.empty(cfg.trials) for m in cfg.methods}
+        samples = {label: np.empty(cfg.trials) for label in labels}
         for trial in range(cfg.trials):
-            per_user = {m: [] for m in cfg.methods}
-            for user in range(cfg.channel.num_users):
-                channel, obs, snr_db = make_obs(bench, x_idx, x, trial, user)
-                truth = channel.per_subcarrier_channels
-                for m in cfg.methods:
-                    per_user[m].append(nmse(bench.estimate(m, obs, snr_db), truth))
-            for m in cfg.methods:
-                samples[m][trial] = float(np.mean(per_user[m]))
-        for m in cfg.methods:
-            vals = samples[m]
+            for label, value in trial_values(x_idx, x, trial).items():
+                samples[label][trial] = value
+        for label in labels:
+            vals = samples[label]
             stderr = float(vals.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-            points.append(CurvePoint(float(x), m, float(vals.mean()), stderr, cfg.trials))
+            points.append(CurvePoint(float(x), label, float(vals.mean()), stderr, cfg.trials))
     if out_path:
         write_curve_csv(points, out_path)
     return points
@@ -362,17 +382,16 @@ def _sweep(cfg: ExperimentConfig, xs, make_obs, out_path) -> list:
 
 def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """NMSE of every configured method across the distance grid, at the first
-    configured SNR. Writes CSV when a path is given (argument or config)."""
-    snr_db = cfg.snr_db[0] if cfg.snr_db else 10.0
-
-    def make_obs(bench, d_idx, distance, trial, user):
-        channel = bench.draw_channel(distance, d_idx, trial, user)
-        obs = observe(
-            bench.pilot, channel, snr_db, _child_seed(cfg.seed, 3, d_idx, trial, user)
-        )
-        return channel, obs, snr_db
-
-    return _sweep(cfg, cfg.distance_grid, make_obs, out_path or cfg.output)
+    configured SNR (the default SNR when the list is empty). Writes CSV when
+    a path is given (argument or config)."""
+    snr_db = (cfg.snr_db or ExperimentConfig.snr_db)[0]
+    grid = cfg.distance_grid
+    bench = Workbench(cfg)
+    return _sweep(
+        cfg, grid, cfg.methods,
+        lambda d_idx, distance, trial: bench.nmse_trial(d_idx, trial, distance, snr_db),
+        out_path or cfg.output,
+    )
 
 
 def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
@@ -380,15 +399,12 @@ def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> li
     if len(cfg.snr_db) == 0:
         raise ConfigurationError("snr_db must not be empty for an SNR sweep")
     distance = cfg.distance_grid[0]
-
-    def make_obs(bench, s_idx, snr_db, trial, user):
-        channel = bench.draw_channel(distance, s_idx, trial, user)
-        obs = observe(
-            bench.pilot, channel, snr_db, _child_seed(cfg.seed, 3, s_idx, trial, user)
-        )
-        return channel, obs, snr_db
-
-    return _sweep(cfg, cfg.snr_db, make_obs, out_path or cfg.output)
+    bench = Workbench(cfg)
+    return _sweep(
+        cfg, cfg.snr_db, cfg.methods,
+        lambda s_idx, snr_db, trial: bench.nmse_trial(s_idx, trial, distance, snr_db),
+        out_path or cfg.output,
+    )
 
 
 def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
@@ -399,34 +415,25 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
         raise ConfigurationError("snr_db must not be empty for an SNR sweep")
     pre = cfg.precoding
     distance = cfg.distance_grid[0]
-    bench = _Workbench(cfg)
+    angular, polar = _dictionaries(cfg)
     rx_array = ArrayConfig(pre.num_rx_antennas, cfg.array.carrier_freq)
 
+    def trial_values(s_idx, snr_db, trial):
+        rng = np.random.default_rng(_child_seed(cfg.seed, 4, s_idx, trial))
+        paths = []
+        rx_angles = []
+        for _ in range(cfg.channel.paths_per_user):
+            r = distance * (1.0 + cfg.channel.distance_spread_frac * rng.uniform(-1, 1))
+            gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+            paths.append(PathParam(float(rng.uniform(*cfg.channel.angle_range)), float(r), complex(gain)))
+            rx_angles.append(float(rng.uniform(-1, 1)))
+        channel = MatrixChannel(synthesize_matrix_channel(cfg.array, rx_array, paths, rx_angles))
+        f_opt = optimal_precoder(channel, pre.num_streams)
+        values = {"optimal": spectral_efficiency(channel, f_opt, snr_db, "optimal").spectral_efficiency}
+        for name, dictionary in (("hybrid_angular", angular), ("hybrid_polar", polar)):
+            pair = block_sparse_precoding(f_opt, dictionary, pre.num_rf_chains)
+            values[name] = spectral_efficiency(channel, pair, snr_db, name).spectral_efficiency
+        return values
+
     labels = ("optimal", "hybrid_angular", "hybrid_polar")
-    points: list = []
-    for s_idx, snr_db in enumerate(cfg.snr_db):
-        values = {name: np.empty(cfg.trials) for name in labels}
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng(_child_seed(cfg.seed, 4, s_idx, trial))
-            paths = []
-            rx_angles = []
-            for _ in range(cfg.channel.paths_per_user):
-                r = distance * (1.0 + cfg.channel.distance_spread_frac * rng.uniform(-1, 1))
-                gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-                paths.append(PathParam(float(rng.uniform(*cfg.channel.angle_range)), float(r), complex(gain)))
-                rx_angles.append(float(rng.uniform(-1, 1)))
-            channel = MatrixChannel(
-                synthesize_matrix_channel(cfg.array, rx_array, paths, rx_angles)
-            )
-            f_opt = optimal_precoder(channel, pre.num_streams)
-            values["optimal"][trial] = spectral_efficiency(channel, f_opt, snr_db, "optimal").spectral_efficiency
-            for name, dictionary in (("hybrid_angular", bench.angular), ("hybrid_polar", bench.polar)):
-                pair = block_sparse_precoding(f_opt, dictionary, pre.num_rf_chains)
-                values[name][trial] = spectral_efficiency(channel, pair, snr_db, name).spectral_efficiency
-        for name in labels:
-            vals = values[name]
-            stderr = float(vals.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-            points.append(CurvePoint(float(snr_db), name, float(vals.mean()), stderr, cfg.trials))
-    if out_path or cfg.output:
-        write_curve_csv(points, out_path or cfg.output)
-    return points
+    return _sweep(cfg, cfg.snr_db, labels, trial_values, out_path or cfg.output)

@@ -15,7 +15,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ArrayConfig:
 
     num_antennas: int
     carrier_freq: float
-    element_spacing: float = None  # type: ignore[assignment]
+    element_spacing: Optional[float] = None
 
     def __post_init__(self):
         if self.num_antennas < 1:

@@ -3,34 +3,32 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
 import yaml
 
-from .bench import ExperimentConfig, run_nmse_vs_distance, run_nmse_vs_snr, run_se_vs_snr
+from .bench import (
+    ExperimentConfig,
+    Workbench,
+    run_nmse_vs_distance,
+    run_nmse_vs_snr,
+    run_se_vs_snr,
+)
 from .dictionaries import block_metrics, coherence, export_metadata_csv
 from .partition import partition_boundary, sparsity_profile, sparsity_upper_limit
 
 
-def _load(config_path, seed, out, trials):
+def _load(config_path, seed, out, trials) -> ExperimentConfig:
     raw = {}
     if config_path:
         with open(config_path) as fh:
             raw = yaml.safe_load(fh) or {}
-    cfg = ExperimentConfig.from_dict(raw)
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if out is not None:
-        updates["output"] = out
-    if trials is not None:
-        updates["trials"] = trials
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg, raw
+    overrides = {"seed": seed, "output": out, "trials": trials}
+    return replace(
+        ExperimentConfig.from_dict(raw), **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _common(fn):
@@ -51,7 +49,7 @@ def main():
 @_common
 def nmse_distance(config_path, seed, out, trials):
     """NMSE of the configured methods across the distance grid."""
-    cfg, _ = _load(config_path, seed, out, trials)
+    cfg = _load(config_path, seed, out, trials)
     points = run_nmse_vs_distance(cfg)
     _echo_summary(cfg, points, "distance_m")
 
@@ -60,7 +58,7 @@ def nmse_distance(config_path, seed, out, trials):
 @_common
 def nmse_snr(config_path, seed, out, trials):
     """NMSE of the configured methods across the SNR list."""
-    cfg, _ = _load(config_path, seed, out, trials)
+    cfg = _load(config_path, seed, out, trials)
     points = run_nmse_vs_snr(cfg)
     _echo_summary(cfg, points, "snr_db")
 
@@ -69,7 +67,7 @@ def nmse_snr(config_path, seed, out, trials):
 @_common
 def se_snr(config_path, seed, out, trials):
     """Spectral efficiency of optimal vs hybrid precoders across the SNR list."""
-    cfg, _ = _load(config_path, seed, out, trials)
+    cfg = _load(config_path, seed, out, trials)
     points = run_se_vs_snr(cfg)
     _echo_summary(cfg, points, "snr_db", value_label="bits/s/Hz")
 
@@ -78,11 +76,9 @@ def se_snr(config_path, seed, out, trials):
 @_common
 def partition_cmd(config_path, seed, out, trials):
     """Sparsity profile, recovery limit, and inner/outer boundary."""
-    cfg, raw = _load(config_path, seed, out, trials)
-    part = cfg.partition_settings(raw.get("partition") if raw else None)
-    from .bench import _Workbench
-
-    bench = _Workbench(cfg)
+    cfg = _load(config_path, seed, out, trials)
+    part = cfg.partition
+    bench = Workbench(cfg)
     metrics = block_metrics(bench.mm_angular.entries, bench.angular.partition)
     k_max = sparsity_upper_limit(metrics, cfg.dictionary.block_length)
     profile = sparsity_profile(
@@ -108,10 +104,8 @@ def partition_cmd(config_path, seed, out, trials):
               help="Which dictionary's atom table --out exports.")
 def dict_info(config_path, seed, out, trials, domain):
     """Dictionary sizes and coherence metrics for the configured array."""
-    cfg, _ = _load(config_path, seed, out, trials)
-    from .bench import _Workbench
-
-    bench = _Workbench(cfg)
+    cfg = _load(config_path, seed, out, trials)
+    bench = Workbench(cfg)
     angular, polar = bench.angular, bench.polar
     click.echo(f"array: N={cfg.array.num_antennas}, carrier={cfg.array.carrier_freq:.4g} Hz, "
                f"spacing={cfg.array.element_spacing:.6g} m")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import ConfigurationError
-from .recovery import RecoveryConfig
+from .recovery import RecoveryConfig, _greedy_blocks
 
 
 @dataclass(frozen=True)
@@ -121,36 +121,12 @@ def block_sparse_precoding(
         raise ConfigurationError("the block length must divide the RF chain count")
     tol = cfg.residual_tolerance if cfg is not None else 1e-10
     max_blocks = cfg.max_blocks if cfg is not None else partition.num_blocks
-
-    atoms = dictionary.atoms
-    g = atoms.shape[1]
-    starts = partition.starts
     target_mod = 1.0 / np.sqrt(n_t)
-    opt_norm = float(np.linalg.norm(f_opt))
-
-    selected: list = []
-    f_rf = np.empty((n_t, 0), dtype=np.complex128)
-    f_bb = np.empty((0, n_s), dtype=np.complex128)
-    residual = f_opt
-    rel = 1.0
-
-    while len(selected) < max_blocks and rel > tol and len(selected) < partition.num_blocks:
-        corr = atoms.conj().T @ residual  # (G, N_s)
-        atom_energy = np.sum(np.abs(corr) ** 2, axis=1)
-        scores = np.add.reduceat(atom_energy, starts)
-        if selected:
-            scores[np.asarray(selected)] = -np.inf
-        block = int(np.argmax(scores))
-        block_slice = partition.block_slice(block)
-        width = block_slice.stop - block_slice.start
-        if f_rf.shape[1] + width > num_rf_chains:
-            break
-        new_cols = target_mod * np.exp(1j * np.angle(atoms[:, block_slice]))
-        f_rf = np.concatenate([f_rf, new_cols], axis=1)
-        f_bb, *_ = np.linalg.lstsq(f_rf, f_opt, rcond=None)
-        residual = f_opt - f_rf @ f_bb
-        rel = float(np.linalg.norm(residual)) / opt_norm
-        selected.append(block)
+    _, _, f_rf, f_bb, _ = _greedy_blocks(
+        dictionary.atoms, f_opt, partition, max_blocks, tol,
+        column_map=lambda cols: target_mod * np.exp(1j * np.angle(cols)),
+        max_columns=num_rf_chains,
+    )
 
     combined_norm = float(np.linalg.norm(f_rf @ f_bb))
     if combined_norm == 0.0:

@@ -3,15 +3,16 @@
 bsomp() selects whole dictionary blocks by correlating all subcarrier
 residuals at once (joint scoring), optionally biased toward a previously
 known support (temporal weighting) and stopped early when a newly selected
-block carries almost no energy (decay stopping). A least-squares baseline
-and the NMSE metric live here as well.
+block carries almost no energy (decay stopping). Its greedy loop,
+_greedy_blocks(), is shared with the block-sparse hybrid precoder. A
+least-squares baseline and the NMSE metric live here as well.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +97,68 @@ def _temporal_weights(num_blocks: int, si: SideInformation) -> np.ndarray:
     return weights
 
 
+def _greedy_blocks(
+    columns: np.ndarray, target: np.ndarray, partition: BlockPartition, max_blocks: int,
+    tolerance: float, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
+    column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
+):
+    """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
+
+    Per iteration block b scores ||columns_b^H R||_F^2 (times weights[b]) on
+    the residual R; the best unselected block (ties to the lowest index) has
+    its columns, through ``column_map`` when given, appended to the basis,
+    and ``target`` is refit by least squares over the whole basis. Stops at
+    min(max_blocks, block count) blocks, a relative residual at or below
+    ``tolerance``, or a zero target; the candidate is discarded and the loop
+    ends when it would grow the basis past ``max_columns`` columns or its
+    coefficient energy falls below ``decay_floor`` times the first block's.
+
+    Returns (selected blocks, their column indices, basis (M, C),
+    coefficients (C, S), relative residual history starting at 1.0).
+    """
+    total = float(np.linalg.norm(target))
+    selected: list = []
+    cols: list = []
+    basis = columns[:, :0]
+    coef = np.zeros((0, target.shape[1]), dtype=np.result_type(columns, target))
+    residual = target
+    history = [1.0]
+    budget = min(max_blocks, partition.num_blocks)
+
+    while total > 0.0 and len(selected) < budget and history[-1] > tolerance:
+        corr = columns.conj().T @ residual  # (G, S)
+        scores = np.add.reduceat(np.sum(np.abs(corr) ** 2, axis=1), partition.starts)
+        if weights is not None:
+            scores = scores * weights
+        if selected:
+            scores[np.asarray(selected)] = -np.inf
+        block = int(np.argmax(scores))
+
+        block_slice = partition.block_slice(block)
+        new_cols = columns[:, block_slice]
+        if column_map is not None:
+            new_cols = column_map(new_cols)
+        if max_columns is not None and basis.shape[1] + new_cols.shape[1] > max_columns:
+            break
+        trial_basis = np.concatenate([basis, new_cols], axis=1)
+        trial_coef, *_ = np.linalg.lstsq(trial_basis, target, rcond=None)
+
+        if decay_floor is not None and selected:
+            first_len = int(partition.lengths[selected[0]])
+            energy_first = float(np.sum(np.abs(trial_coef[:first_len]) ** 2))
+            energy_new = float(np.sum(np.abs(trial_coef[-new_cols.shape[1]:]) ** 2))
+            if energy_new < decay_floor * energy_first:
+                break  # decaying-energy stop
+
+        selected.append(block)
+        cols.extend(range(*block_slice.indices(columns.shape[1])))
+        basis, coef = trial_basis, trial_coef
+        residual = target - basis @ coef
+        history.append(float(np.linalg.norm(residual)) / total)
+
+    return selected, cols, basis, coef, history
+
+
 def bsomp(
     measurement: MeasurementMatrix,
     obs: Observation,
@@ -134,60 +197,14 @@ def bsomp(
         )
 
     y = obs.per_subcarrier.T  # (Q, K)
-    k_count = y.shape[1]
-    g = phi.shape[1]
     dictionary = measurement.dictionary
-    total = float(np.linalg.norm(y))
-    if total == 0.0:
-        zeros_c = np.zeros((k_count, g), dtype=np.complex128)
-        zeros_h = np.zeros((k_count, dictionary.num_antennas), dtype=np.complex128)
-        return RecoveryResult((), zeros_c, zeros_h, (1.0,), domain=dictionary.domain)
-
-    weights = _temporal_weights(partition.num_blocks, si) if si is not None else None
-    starts = partition.starts
-
-    selected: list = []
-    cols: list = []
-    solution = None
-    residual = y
-    rel = 1.0
-    history = [1.0]
-    budget = min(cfg.max_blocks, partition.num_blocks)
-
-    while len(selected) < budget and rel > cfg.residual_tolerance:
-        corr = phi.conj().T @ residual  # (G, K)
-        atom_energy = np.sum(np.abs(corr) ** 2, axis=1)
-        scores = np.add.reduceat(atom_energy, starts)
-        if weights is not None:
-            scores = scores * weights
-        if selected:
-            scores[np.asarray(selected)] = -np.inf
-        block = int(np.argmax(scores))
-
-        block_cols = list(range(*partition.block_slice(block).indices(g)))
-        trial_cols = cols + block_cols
-        basis = phi[:, trial_cols]
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        new_residual = y - basis @ coef
-        new_rel = float(np.linalg.norm(new_residual)) / total
-
-        if si is not None and si.decay_floor is not None and selected:
-            first_len = int(partition.lengths[selected[0]])
-            energy_first = float(np.sum(np.abs(coef[:first_len]) ** 2))
-            energy_new = float(np.sum(np.abs(coef[-len(block_cols):]) ** 2))
-            if energy_new < si.decay_floor * energy_first:
-                break  # decaying-energy stop: discard the candidate block
-
-        selected.append(block)
-        cols = trial_cols
-        solution = coef
-        residual = new_residual
-        rel = new_rel
-        history.append(rel)
-
-    coefficients = np.zeros((k_count, g), dtype=np.complex128)
-    if cols:
-        coefficients[:, cols] = solution.T
+    selected, cols, _, solution, history = _greedy_blocks(
+        phi, y, partition, cfg.max_blocks, cfg.residual_tolerance,
+        weights=_temporal_weights(partition.num_blocks, si) if si is not None else None,
+        decay_floor=si.decay_floor if si is not None else None,
+    )
+    coefficients = np.zeros((y.shape[1], phi.shape[1]), dtype=np.complex128)
+    coefficients[:, cols] = solution.T
     if measurement.column_scales is not None:
         coefficients = coefficients / measurement.column_scales[None, :]
     reconstructed = coefficients @ dictionary.atoms.T

@@ -46,7 +46,7 @@ class Observation:
         y = np.asarray(self.per_subcarrier)
         if y.ndim != 2:
             raise ValueError("per_subcarrier must have shape (K, Q)")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:  # also rejects nan
             raise ValueError("noise_variance must be non-negative")
 
 
@@ -88,10 +88,13 @@ def observe(
 
     y_k = P h_k + n_k with n_k ~ CN(0, sigma^2 I). sigma^2 is set so the
     average received sample power over all subcarriers divided by sigma^2
-    equals the linear SNR; snr_db = inf disables noise. Passing
-    ``noise_variance`` pins sigma^2 directly (snr_db is then only recorded),
-    which keeps zero-channel noise floors testable.
+    equals the linear SNR; snr_db = +inf disables noise, and -inf or nan
+    raise ValueError. Passing ``noise_variance`` pins sigma^2 directly
+    (snr_db is then only recorded), which keeps zero-channel noise floors
+    testable.
     """
+    if not (np.isfinite(snr_db) or snr_db == np.inf):
+        raise ValueError("snr_db must be finite or +inf")
     h = np.asarray(channel.per_subcarrier_channels)
     if pilot.num_antennas != h.shape[1]:
         raise ValueError("pilot width must equal the channel length")

@@ -1,4 +1,8 @@
+import re
+from pathlib import Path
+
 import pytest
+import yaml
 
 from bdcs import ConfigurationError
 from bdcs.bench import (
@@ -42,6 +46,48 @@ class TestConfig:
     def test_invalid_trials(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"trials": 0})
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"trails": 3}, "trails"),
+            ({"recovery": {"max_block": 8}}, "recovery.max_block"),
+            ({"side_information": {"temporal_gain": 1}}, "side_information.temporal_gain"),
+            ({"array": {"carrier_freq": 28e9}}, "array.carrier_freq"),
+        ],
+    )
+    def test_unknown_key_rejected(self, raw, key):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ExperimentConfig.from_dict(raw)
+
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ConfigurationError, match="'trials'"):
+            ExperimentConfig.from_dict({"trials": "many"})
+        with pytest.raises(ConfigurationError, match="'channel.angle_range'"):
+            ExperimentConfig.from_dict({"channel": {"angle_range": [-0.5, 0.0, 0.5]}})
+        with pytest.raises(ConfigurationError, match="'recovery'"):
+            ExperimentConfig.from_dict({"recovery": 4})
+
+    def test_renamed_and_folded_keys(self):
+        cfg = ExperimentConfig.from_dict({
+            "array": {"carrier_freq_hz": "28.0e9"},
+            "subcarriers": {"count": 2, "spacing_hz": 120e3},
+            "pilot": {"fraction": 0.25},
+            "dictionary": {"r_min_m": 3.0},
+            "partition": {"eta": 0.9},
+            "snr_db": 5,
+        })
+        assert cfg.array.carrier_freq == 28e9
+        assert cfg.array.element_spacing == pytest.approx(cfg.array.wavelength / 2.0)
+        assert (cfg.subcarrier_count, cfg.subcarrier_spacing) == (2, 120e3)
+        assert cfg.pilot_fraction == 0.25 and cfg.dictionary.r_min == 3.0
+        assert cfg.partition.eta == 0.9 and cfg.partition.trials == 64
+        assert cfg.snr_db == (5.0,)
+
+    def test_readme_schema_block_is_the_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert ExperimentConfig.from_dict(yaml.safe_load(block)) == ExperimentConfig.from_dict({})
 
     def test_distance_grid_validation(self):
         cfg = tiny_config(distances=[1.0, -2.0])

@@ -108,3 +108,29 @@ def test_runs_without_config_flag():
     assert result.exit_code == 0
     assert "--config" in result.output and "--seed" in result.output
     assert "--out" in result.output and "--trials" in result.output
+
+
+def test_trials_flag_overrides_partition_trials(tmp_path, monkeypatch):
+    import bdcs.cli
+
+    passed = []
+    real = bdcs.cli.sparsity_profile
+
+    def spy(*args, **kwargs):
+        passed.append(kwargs["trials"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bdcs.cli, "sparsity_profile", spy)
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    r1 = runner.invoke(main, ["partition", "--config", str(cfg)])
+    r2 = runner.invoke(main, ["partition", "--config", str(cfg), "--trials", "3"])
+    assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
+    assert passed == [8, 3]  # partition.trials from the file, then --trials
+
+
+def test_unknown_config_key_fails(tmp_path):
+    cfg = write_config(tmp_path, {"trails": 3})
+    result = CliRunner().invoke(main, ["nmse-distance", "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert "trails" in str(result.exception)

@@ -4,6 +4,7 @@ import pytest
 from bdcs import (
     ArrayConfig,
     ClusterSpec,
+    Observation,
     PilotMatrix,
     SubcarrierGrid,
     build_angular_dictionary,
@@ -87,6 +88,19 @@ class TestObserve:
         tol = 3.0 * target * np.sqrt(2.0 / (n - 1))
         assert abs(noise.real.var() - target) < tol
         assert abs(noise.imag.var() - target) < tol
+
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+    def test_rejects_negative_infinite_and_nan_snr(self, snr_db):
+        arr, channel = make_channel()
+        pilot = make_pilot_matrix(8, arr.num_antennas, seed=2)
+        with pytest.raises(ValueError, match="snr_db"):
+            observe(pilot, channel, snr_db, seed=9)
+
+    def test_observation_rejects_nan_noise_variance(self):
+        with pytest.raises(ValueError, match="noise_variance"):
+            Observation(np.zeros((2, 4), complex), np.nan, 10.0)
+        with pytest.raises(ValueError, match="noise_variance"):
+            Observation(np.zeros((2, 4), complex), -1.0, 10.0)
 
     def test_dimension_mismatch(self):
         arr, channel = make_channel(n=16)
