@@ -224,14 +224,16 @@ def _schema(cls) -> dict:
 
 
 def _coerce(key: str, hint, value):
-    """Convert a config-file value to its field type: int, float, str, an
-    Optional of one (None passes) or a tuple of one (a number becomes a
-    one-element tuple)."""
+    """Convert a config-file value to its field type: int (booleans and
+    fractional numbers refused), float, str, an Optional of one (None
+    passes) or a tuple of one (a number becomes a one-element tuple)."""
     if get_origin(hint) is Union:
         if value is None:
             return None
         hint = get_args(hint)[0]
     try:
+        if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+            raise ValueError(f"expected an integer, got {value!r}")
         if get_origin(hint) is not tuple:
             return hint(value)
         if isinstance(value, (int, float)):

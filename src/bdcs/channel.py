@@ -156,7 +156,7 @@ class ChannelRealization:
             raise ValueError("channel entries must be finite")
 
 
-def steering_far(array: ArrayConfig, spatial_angle: float) -> np.ndarray:
+def steering_far(array: ArrayConfig, spatial_angle) -> np.ndarray:
     """Far-field (planar wavefront) steering vector.
 
     Entry n is (1/sqrt(N)) * exp(-j * 2*pi/lambda * d * delta_n * angle).
@@ -164,23 +164,27 @@ def steering_far(array: ArrayConfig, spatial_angle: float) -> np.ndarray:
     Parameters
     ----------
     array : ArrayConfig
-    spatial_angle : float
+    spatial_angle : float or 1-D array of G angles
         Sine of the physical angle, in [-1, 1].
 
     Returns
     -------
     np.ndarray
-        Unit-norm complex vector of length N.
+        Unit-norm complex vector of length N, or an (N, G) matrix whose
+        column g is bit-identical to the scalar call for angle g.
     """
-    if abs(spatial_angle) > 1:
+    angle = np.asarray(spatial_angle, dtype=float)
+    if np.any(np.abs(angle) > 1):
         raise ValueError("spatial_angle must lie in [-1, 1]")
-    phase = -(2.0 * np.pi / array.wavelength) * array.element_spacing * array.offsets * spatial_angle
+    delta = array.offsets[:, None] if angle.ndim else array.offsets
+    phase = -(2.0 * np.pi / array.wavelength) * array.element_spacing * delta * angle
     return np.exp(1j * phase) / np.sqrt(array.num_antennas)
 
 
-def steering_near(array: ArrayConfig, distance: float, spatial_angle: float) -> np.ndarray:
+def steering_near(array: ArrayConfig, distance, spatial_angle) -> np.ndarray:
     """Spherical-wavefront (near-field) steering vector for a source at
-    ``distance`` meters and the given spatial angle.
+    ``distance`` meters and the given spatial angle, or an (N, G) matrix for
+    equal-length 1-D arrays of G distances and angles.
 
     Entry n is (1/sqrt(N)) * exp(+j * 2*pi/lambda * (r_n - r)) with
     r_n = sqrt(r^2 + delta_n^2 d^2 - 2 r d delta_n * angle). The sign makes
@@ -189,18 +193,23 @@ def steering_near(array: ArrayConfig, distance: float, spatial_angle: float) -> 
     Returns
     -------
     np.ndarray
-        Unit-norm complex vector of length N; every entry has modulus
-        1/sqrt(N) and the center element of an odd array has zero phase.
+        Unit-norm complex vector(s) of length N, column g bit-identical to the
+        scalar call for source g; every entry has modulus 1/sqrt(N) and the
+        center element of an odd array has zero phase.
     """
-    if not distance > 0:
+    distance, angle = np.asarray(distance, dtype=float), np.asarray(spatial_angle, dtype=float)
+    if not np.all(distance > 0):
         raise ValueError("distance must be positive")
-    if abs(spatial_angle) > 1:
+    if np.any(np.abs(angle) > 1):
         raise ValueError("spatial_angle must lie in [-1, 1]")
     d = array.element_spacing
-    delta = array.offsets
-    r_n = np.sqrt(distance**2 + (delta * d) ** 2 - 2.0 * distance * spatial_angle * delta * d)
-    phase = (2.0 * np.pi / array.wavelength) * (r_n - distance)
-    return np.exp(1j * phase) / np.sqrt(array.num_antennas)
+    delta = array.offsets[:, None] if angle.ndim else array.offsets
+    r_n = np.sqrt(distance**2 + (delta * d) ** 2 - 2.0 * distance * angle * delta * d)
+    # exp and the scaling run in place: a dictionary-sized call holds one complex buffer
+    vec = 1j * ((2.0 * np.pi / array.wavelength) * (r_n - distance))
+    np.exp(vec, out=vec)
+    vec /= np.sqrt(array.num_antennas)
+    return vec
 
 
 def steering(array: ArrayConfig, distance: float, spatial_angle: float) -> np.ndarray:

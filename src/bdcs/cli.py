@@ -113,11 +113,7 @@ def dict_info(config_path, seed, out, trials, domain):
                f"(oversampling {cfg.dictionary.oversampling}, "
                f"block length {cfg.dictionary.block_length}), "
                f"coherence={coherence(angular):.4f}")
-    runs = {}
-    for atom in polar.metadata:
-        runs.setdefault(atom.spatial_angle, 0)
-        runs[atom.spatial_angle] += 1
-    lengths = np.array(list(runs.values()))
+    _, lengths = np.unique(polar.angles, return_counts=True)
     click.echo(f"polar dictionary: G={polar.num_atoms} "
                f"(beta={cfg.dictionary.beta}, r_min={cfg.dictionary.r_min} m), "
                f"coherence={coherence(polar):.4f}")

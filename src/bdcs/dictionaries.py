@@ -5,6 +5,13 @@ rings r_s = Z(angle)/s, where Z(angle) = N^2 d^2 (1 - angle^2) / (2 beta^2 lambd
 shrinks toward endfire. Each angle contributes one far-field atom (distance
 inf) followed by its rings from far to near, so atoms of one angle form a
 contiguous run and block partitions never straddle two angles.
+
+A Dictionary describes its columns with two float arrays of length G:
+``angles[g]`` is the spatial angle of column g and ``distances[g]`` its
+distance in meters (inf for a far-field column). Column g equals
+``steering(array, distances[g], angles[g])`` bit for bit. Angular columns
+are all far-field; polar columns run, per angle, inf first and then the
+rings far to near.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ArrayConfig, steering, steering_far
+from .channel import ArrayConfig, steering_far, steering_near
 from .errors import ConfigurationError
 
 DEFAULT_POLAR_BETA = 1.15
@@ -25,24 +32,6 @@ DEFAULT_POLAR_BETA = 1.15
 
 DEFAULT_POLAR_R_MIN = 5.0
 """Closest polar ring kept in the grid, meters."""
-
-
-@dataclass(frozen=True)
-class Atom:
-    """Metadata for one dictionary column."""
-
-    domain_tag: str
-    spatial_angle: float
-    distance: float
-    column_index: int
-
-    def __post_init__(self):
-        if self.domain_tag not in ("angular", "polar"):
-            raise ValueError("domain_tag must be 'angular' or 'polar'")
-        if abs(self.spatial_angle) > 1:
-            raise ValueError("spatial_angle must lie in [-1, 1]")
-        if not (self.distance > 0 or np.isinf(self.distance)):
-            raise ValueError("distance must be positive or inf (far-field)")
 
 
 @dataclass(frozen=True)
@@ -107,13 +96,15 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Unit-norm atom matrix with per-atom metadata and a block partition.
+    """Unit-norm atom matrix with per-column angles and distances and a
+    block partition.
 
-    ``atoms`` has shape (N, G); metadata holds one :class:`Atom` per column.
+    ``atoms`` has shape (N, G); ``angles`` and ``distances`` have length G.
     """
 
     atoms: np.ndarray
-    metadata: tuple
+    angles: np.ndarray
+    distances: np.ndarray
     partition: BlockPartition
     domain: str = "angular"
     array: Optional[ArrayConfig] = None
@@ -125,8 +116,16 @@ class Dictionary:
         norms = np.linalg.norm(a, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-10):
             raise ValueError("all dictionary columns must be unit-norm")
-        if len(self.metadata) != a.shape[1]:
-            raise ValueError("metadata length must match the column count")
+        angles = np.asarray(self.angles, dtype=float)
+        distances = np.asarray(self.distances, dtype=float)
+        if angles.shape != (a.shape[1],) or distances.shape != (a.shape[1],):
+            raise ValueError("angles and distances must have one entry per column")
+        if np.any(np.abs(angles) > 1):
+            raise ValueError("angles must lie in [-1, 1]")
+        if not np.all((distances > 0) | np.isinf(distances)):
+            raise ValueError("distances must be positive or inf (far-field)")
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "distances", distances)
         if self.partition.size != a.shape[1]:
             raise ConfigurationError("partition must cover the columns exactly")
 
@@ -168,11 +167,8 @@ def build_angular_dictionary(
     g = oversampling * array.num_antennas
     partition = BlockPartition.uniform(g, block_length)
     angles = (2.0 * np.arange(g) - g + 1) / g
-    atoms = np.column_stack([steering_far(array, a) for a in angles])
-    metadata = tuple(
-        Atom("angular", float(a), np.inf, m) for m, a in enumerate(angles)
-    )
-    return Dictionary(atoms, metadata, partition, domain="angular", array=array)
+    atoms = steering_far(array, angles)
+    return Dictionary(atoms, angles, np.full(g, np.inf), partition, domain="angular", array=array)
 
 
 def polar_ring_distances(array: ArrayConfig, beta: float, r_min: float, spatial_angle: float) -> np.ndarray:
@@ -212,26 +208,22 @@ def build_polar_dictionary(
     if block_length < 1:
         raise ValueError("block_length must be at least 1")
     n = array.num_antennas
-    angles = (2.0 * np.arange(n) - n + 1) / n
-
-    columns = []
-    metadata = []
-    run_lengths = []
-    index = 0
-    for angle in angles:
-        distances = [np.inf, *polar_ring_distances(array, beta, r_min, angle)]
-        run_lengths.append(len(distances))
-        for r in distances:
-            columns.append(steering(array, r, float(angle)))
-            metadata.append(Atom("polar", float(angle), float(r), index))
-            index += 1
-
-    if index == n:
+    grid = (2.0 * np.arange(n) - n + 1) / n
+    runs = [np.concatenate(([np.inf], polar_ring_distances(array, beta, r_min, a))) for a in grid]
+    run_lengths = [len(run) for run in runs]
+    angles = np.repeat(grid, run_lengths)
+    distances = np.concatenate(runs)
+    if len(distances) == n:
         warnings.warn(
             "polar dictionary degenerated to far-field-only atoms "
             "(r_min exceeds every ring distance)",
             stacklevel=2,
         )
+
+    far = np.isinf(distances)
+    atoms = np.empty((n, len(distances)), dtype=np.complex128)
+    atoms[:, ~far] = steering_near(array, distances[~far], angles[~far])
+    atoms[:, far] = steering_far(array, angles[far])
 
     block_lengths = []
     for run in run_lengths:
@@ -240,8 +232,7 @@ def build_polar_dictionary(
         if rest:
             block_lengths.append(rest)
     partition = BlockPartition.from_lengths(block_lengths)
-    atoms = np.column_stack(columns)
-    return Dictionary(atoms, tuple(metadata), partition, domain="polar", array=array)
+    return Dictionary(atoms, angles, distances, partition, domain="polar", array=array)
 
 
 def _as_matrix(dict_or_matrix: Union[Dictionary, np.ndarray]) -> np.ndarray:
@@ -312,8 +303,6 @@ def export_metadata_csv(dictionary: Dictionary, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["column_index", "domain", "angle", "distance"])
-        for atom in dictionary.metadata:
-            distance = "inf" if np.isinf(atom.distance) else f"{atom.distance:.10g}"
-            writer.writerow(
-                [atom.column_index, atom.domain_tag, f"{atom.spatial_angle:.10g}", distance]
-            )
+        for index, (angle, distance) in enumerate(zip(dictionary.angles, dictionary.distances)):
+            distance = "inf" if np.isinf(distance) else f"{distance:.10g}"
+            writer.writerow([index, dictionary.domain, f"{angle:.10g}", distance])

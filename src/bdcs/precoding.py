@@ -106,10 +106,10 @@ def block_sparse_precoding(
 
     Iterates: score every block by ||A_b^H R||_F^2 against the residual
     R = F_OPT - F_RF F_BB, append the winning block's atoms phase-projected
-    to modulus 1/sqrt(N_t), refit F_BB by least squares. Stops when adding a
-    block would exceed the chain budget, the relative residual reaches the
-    tolerance, or the block budget runs out, then rescales F_BB to the
-    stream power budget.
+    to modulus 1/sqrt(N_t), refit F_BB by least squares. Blocks wider than
+    the RF chains left are skipped. Stops when no unselected block fits the
+    chains left, the relative residual reaches the tolerance, or the block
+    budget runs out, then rescales F_BB to the stream power budget.
     """
     f_opt = np.asarray(f_opt)
     n_t, n_s = f_opt.shape

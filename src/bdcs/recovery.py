@@ -11,7 +11,7 @@ least-squares baseline and the NMSE metric live here as well.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -107,10 +107,11 @@ def _greedy_blocks(
     Per iteration block b scores ||columns_b^H R||_F^2 (times weights[b]) on
     the residual R; the best unselected block (ties to the lowest index) has
     its columns, through ``column_map`` when given, appended to the basis,
-    and ``target`` is refit by least squares over the whole basis. Stops at
-    min(max_blocks, block count) blocks, a relative residual at or below
-    ``tolerance``, or a zero target; the candidate is discarded and the loop
-    ends when it would grow the basis past ``max_columns`` columns or its
+    and ``target`` is refit by least squares over the whole basis. With
+    ``max_columns`` set, a block wider than the columns left scores -inf.
+    Stops at min(max_blocks, block count) blocks, a relative residual at or
+    below ``tolerance``, a zero target, or when no unselected block fits
+    ``max_columns``; the candidate is discarded and the loop ends when its
     coefficient energy falls below ``decay_floor`` times the first block's.
 
     Returns (selected blocks, their column indices, basis (M, C),
@@ -132,14 +133,16 @@ def _greedy_blocks(
             scores = scores * weights
         if selected:
             scores[np.asarray(selected)] = -np.inf
+        if max_columns is not None:
+            scores[partition.lengths > max_columns - basis.shape[1]] = -np.inf
         block = int(np.argmax(scores))
+        if scores[block] == -np.inf:
+            break  # no unselected block fits the column cap
 
         block_slice = partition.block_slice(block)
         new_cols = columns[:, block_slice]
         if column_map is not None:
             new_cols = column_map(new_cols)
-        if max_columns is not None and basis.shape[1] + new_cols.shape[1] > max_columns:
-            break
         trial_basis = np.concatenate([basis, new_cols], axis=1)
         trial_coef, *_ = np.linalg.lstsq(trial_basis, target, rcond=None)
 
@@ -207,10 +210,8 @@ def bsomp(
     coefficients[:, cols] = solution.T
     if measurement.column_scales is not None:
         coefficients = coefficients / measurement.column_scales[None, :]
-    reconstructed = coefficients @ dictionary.atoms.T
-    return RecoveryResult(
-        tuple(selected), coefficients, reconstructed, tuple(history), domain=dictionary.domain
-    )
+    result = RecoveryResult(tuple(selected), coefficients, None, tuple(history), domain=dictionary.domain)
+    return replace(result, reconstructed_channels=reconstruct(dictionary, result))
 
 
 def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:

@@ -3,7 +3,7 @@ independent reference implementations used as oracles."""
 
 import numpy as np
 
-from bdcs import Atom, BlockPartition, Dictionary, Observation
+from bdcs import BlockPartition, Dictionary, Observation
 
 
 def random_dictionary(rng, num_antennas, num_atoms, block_length):
@@ -13,8 +13,10 @@ def random_dictionary(rng, num_antennas, num_atoms, block_length):
     )
     m = m / np.linalg.norm(m, axis=0)
     angles = np.linspace(-1.0, 1.0, num_atoms)
-    meta = tuple(Atom("angular", float(a), np.inf, i) for i, a in enumerate(angles))
-    return Dictionary(m, meta, BlockPartition.uniform(num_atoms, block_length), domain="angular")
+    return Dictionary(
+        m, angles, np.full(num_atoms, np.inf), BlockPartition.uniform(num_atoms, block_length),
+        domain="angular",
+    )
 
 
 def block_sparse_instance(rng, measurement, sparsity_blocks, snr_db, num_subcarriers=1):

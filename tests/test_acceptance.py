@@ -238,7 +238,7 @@ def test_criterion_08_precoding_invariants():
 
     # on-grid 4-path channel with a wide chain budget approaches the optimum
     single = build_angular_dictionary(tx, 1, 1)
-    grid_angles = [single.metadata[i].spatial_angle for i in (8, 22, 40, 57)]
+    grid_angles = [single.angles[i] for i in (8, 22, 40, 57)]
     params = [
         PathParam(a, np.inf, complex(rng.standard_normal() + 1j * rng.standard_normal()))
         for a in grid_angles

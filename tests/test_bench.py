@@ -68,6 +68,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="'recovery'"):
             ExperimentConfig.from_dict({"recovery": 4})
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"trials": 2.5}, "trials"),
+            ({"recovery": {"max_blocks": 3.9}}, "recovery.max_blocks"),
+            ({"trials": True}, "trials"),
+        ],
+    )
+    def test_int_field_refuses_truncation(self, raw, key):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ExperimentConfig.from_dict(raw)
+
     def test_renamed_and_folded_keys(self):
         cfg = ExperimentConfig.from_dict({
             "array": {"carrier_freq_hz": "28.0e9"},

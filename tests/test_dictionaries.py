@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bdcs import (
     ArrayConfig,
-    Atom,
     BlockPartition,
     ConfigurationError,
     Dictionary,
@@ -82,10 +81,9 @@ class TestAngularDictionary:
 
     def test_metadata_angles_cover_grid(self):
         d = build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1)
-        angles = [a.spatial_angle for a in d.metadata]
-        assert angles[0] == pytest.approx(-15 / 16)
-        assert angles[-1] == pytest.approx(15 / 16)
-        assert all(np.isinf(a.distance) for a in d.metadata)
+        assert d.angles[0] == pytest.approx(-15 / 16)
+        assert d.angles[-1] == pytest.approx(15 / 16)
+        assert np.all(np.isinf(d.distances))
 
 
 class TestPolarDictionary:
@@ -99,7 +97,7 @@ class TestPolarDictionary:
         with pytest.warns(UserWarning):
             d = build_polar_dictionary(arr, beta=1e6, r_min=1.0)
         assert d.num_atoms == 16
-        assert all(np.isinf(a.distance) for a in d.metadata)
+        assert np.all(np.isinf(d.distances))
 
     def test_size_monotone_in_beta_and_r_min(self):
         arr = ArrayConfig(64, 30e9)
@@ -113,27 +111,28 @@ class TestPolarDictionary:
         assert all(a >= b for a, b in zip(sizes_rmin, sizes_rmin[1:]))
 
     def test_metadata_round_trip(self):
+        # every column of both dictionaries equals the scalar steering call bit for bit
         arr = ArrayConfig(32, 30e9)
-        d = build_polar_dictionary(arr, r_min=0.5)
-        for atom in d.metadata[:: max(1, d.num_atoms // 40)]:
-            regenerated = steering(arr, atom.distance, atom.spatial_angle)
-            assert np.array_equal(regenerated, d.atoms[:, atom.column_index])
+        for d in (build_polar_dictionary(arr, r_min=0.5), build_angular_dictionary(arr, 2, 1)):
+            assert d.angles.shape == d.distances.shape == (d.num_atoms,)
+            for g in range(d.num_atoms):
+                regenerated = steering(arr, d.distances[g], d.angles[g])
+                assert np.array_equal(regenerated, d.atoms[:, g])
 
     def test_blocks_never_straddle_angles(self):
         arr = ArrayConfig(32, 30e9)
         d = build_polar_dictionary(arr, r_min=0.5, block_length=4)
         for b in range(d.partition.num_blocks):
             sl = d.partition.block_slice(b)
-            block_angles = {d.metadata[i].spatial_angle for i in range(sl.start, sl.stop)}
-            assert len(block_angles) == 1
+            assert len(set(d.angles[sl])) == 1
 
     def test_rings_are_contiguous_and_descending(self):
         arr = ArrayConfig(32, 30e9)
         d = build_polar_dictionary(arr, r_min=0.5)
-        per_angle = {}
-        for atom in d.metadata:
-            per_angle.setdefault(atom.spatial_angle, []).append(atom.distance)
-        for distances in per_angle.values():
+        for angle in np.unique(d.angles):
+            (columns,) = np.nonzero(d.angles == angle)
+            assert np.array_equal(columns, np.arange(columns[0], columns[-1] + 1))
+            distances = d.distances[columns]
             assert np.isinf(distances[0])
             finite = distances[1:]
             assert all(a > b for a, b in zip(finite, finite[1:]))
@@ -242,14 +241,28 @@ class TestBlockPartition:
 class TestDictionaryValidation:
     def test_rejects_non_unit_columns(self):
         m = np.ones((4, 2), dtype=complex)
-        meta = (Atom("angular", 0.0, np.inf, 0), Atom("angular", 0.1, np.inf, 1))
         with pytest.raises(ValueError):
-            Dictionary(m, meta, BlockPartition.uniform(2, 1))
+            Dictionary(m, [0.0, 0.1], [np.inf, np.inf], BlockPartition.uniform(2, 1))
 
     def test_metadata_length_checked(self):
         m = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError):
-            Dictionary(m, (Atom("angular", 0.0, np.inf, 0),), BlockPartition.uniform(2, 1))
+        with pytest.raises(ValueError, match="one entry per column"):
+            Dictionary(m, [0.0], [np.inf, np.inf], BlockPartition.uniform(2, 1))
+        with pytest.raises(ValueError, match="one entry per column"):
+            Dictionary(m, [0.0, 0.1], [np.inf], BlockPartition.uniform(2, 1))
+
+    def test_angle_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="angles"):
+            Dictionary(np.eye(2, dtype=complex), [0.0, 1.5], [np.inf, np.inf], BlockPartition.uniform(2, 1))
+
+    @pytest.mark.parametrize("distance", [0.0, -3.0, np.nan])
+    def test_non_positive_distance_rejected(self, distance):
+        with pytest.raises(ValueError, match="distances"):
+            Dictionary(np.eye(2, dtype=complex), [0.0, 0.1], [np.inf, distance], BlockPartition.uniform(2, 1))
+
+    def test_valid_columns_accepted(self):
+        d = Dictionary(np.eye(2, dtype=complex), [-1.0, 1.0], [np.inf, 2.5], BlockPartition.uniform(2, 1))
+        assert d.angles.dtype == d.distances.dtype == np.float64
 
 
 def test_export_metadata_csv(tmp_path):

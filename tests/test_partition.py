@@ -36,7 +36,7 @@ class TestSparsityProfile:
         profile = sparsity_profile(arr, d, [far], eta=0.95, trials=60, seed=4)
         assert profile.tap_counts[0] <= 5
 
-        on_grid_angle = d.metadata[20].spatial_angle
+        on_grid_angle = d.angles[20]
         h = np.sqrt(64) * steering_near(arr, far, on_grid_angle)
         energy = np.abs(d.atoms.conj().T @ h) ** 2
         order = np.sort(energy)[::-1]
@@ -171,9 +171,8 @@ class TestCompleteBdcs:
 
     def polar_grid_observation(self):
         # noiseless channel built from exact polar atoms (near-field rings)
-        near_atoms = [a for a in self.polar.metadata if np.isfinite(a.distance)]
-        chosen = near_atoms[7]
-        h = 4.0 * self.polar.atoms[:, chosen.column_index]
+        near_columns = np.flatnonzero(np.isfinite(self.polar.distances))
+        h = 4.0 * self.polar.atoms[:, near_columns[7]]
         y = (self.pilot.entries @ h)[None, :]
         return Observation(y, 0.0, np.inf), h
 

@@ -3,9 +3,11 @@ import pytest
 
 from bdcs import (
     ArrayConfig,
+    BlockPartition,
     ConfigurationError,
     MatrixChannel,
     PathParam,
+    PrecoderPair,
     RecoveryConfig,
     block_sparse_precoding,
     build_angular_dictionary,
@@ -13,6 +15,7 @@ from bdcs import (
     spectral_efficiency,
     synthesize_matrix_channel,
 )
+from helpers import random_dictionary
 
 
 def random_nf_channel(rng, n_t=64, n_r=4, paths=4, distance=20.0):
@@ -81,7 +84,7 @@ class TestBlockSparsePrecoding:
         tx = ArrayConfig(64, 30e9)
         rx = ArrayConfig(4, 30e9)
         d = build_angular_dictionary(tx, 1, 1)
-        grid_angles = [d.metadata[i].spatial_angle for i in (10, 25, 40, 55)]
+        grid_angles = [d.angles[i] for i in (10, 25, 40, 55)]
         params = [
             PathParam(a, np.inf, complex(rng.standard_normal() + 1j * rng.standard_normal()))
             for a in grid_angles
@@ -140,6 +143,18 @@ class TestBlockSparsePrecoding:
         f_opt = optimal_precoder(channel, 2)
         with pytest.raises(ConfigurationError):
             block_sparse_precoding(f_opt, d, 6)
+
+    @pytest.mark.parametrize("seed", [38, 101])
+    def test_skips_blocks_wider_than_the_chains_left(self, seed):
+        # 3 chains over blocks of 1, 3, 1, 3 columns: once one narrow block
+        # is chosen a wide block no longer fits, but the other narrow one does
+        partition = BlockPartition.from_lengths([1, 3, 1, 3])
+        rng = np.random.default_rng(seed)
+        d = random_dictionary(rng, 8, partition.size, 1)
+        f_opt, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+        pair = block_sparse_precoding(f_opt, d, 3, RecoveryConfig(partition.num_blocks, 1e-10, partition))
+        assert isinstance(pair, PrecoderPair)
+        assert 2 <= pair.num_chains <= 3
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)

@@ -66,11 +66,10 @@ def test_bsomp_residual_falls_and_support_is_disjoint(lengths, q, k, max_blocks,
 )
 def test_hybrid_precoder_respects_the_chain_budget(lengths, n_t, n_s, extra_chains, seed):
     partition = BlockPartition.from_lengths(lengths)
-    # enough chains that a block which does not fit leaves at least n_s columns
-    num_rf_chains = n_s + max(lengths) - 1 + extra_chains
-    assume(num_rf_chains <= n_t and n_s <= partition.size)
-    uniform = partition.uniform_length
-    assume(uniform is None or num_rf_chains % uniform == 0)
+    # blocks too wide for the chains left are skipped, so n_s single columns suffice
+    assume(lengths.count(1) >= n_s)
+    num_rf_chains = n_s + extra_chains
+    assume(num_rf_chains <= n_t)
     rng = np.random.default_rng(seed)
     dictionary = random_dictionary(rng, n_t, partition.size, 1)
     f_opt, _ = np.linalg.qr(rng.standard_normal((n_t, n_s)) + 1j * rng.standard_normal((n_t, n_s)))
