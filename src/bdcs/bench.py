@@ -224,27 +224,35 @@ def _schema(cls) -> dict:
 
 
 def _coerce(key: str, hint, value):
-    """Convert a config-file value to its field type: int (booleans and
-    fractional numbers refused), float, str, an Optional of one (None
-    passes) or a tuple of one (a number becomes a one-element tuple)."""
+    """Convert a config-file value to its field type: int, float, str, an
+    Optional of one (None passes) or a tuple of one (a number becomes a
+    one-element tuple). Booleans are refused for every number, and
+    fractional numbers for every int."""
     if get_origin(hint) is Union:
         if value is None:
             return None
         hint = get_args(hint)[0]
     try:
-        if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-            raise ValueError(f"expected an integer, got {value!r}")
         if get_origin(hint) is not tuple:
-            return hint(value)
+            return _number(hint, value)
         if isinstance(value, (int, float)):
             value = (value,)
         item_types = get_args(hint)
-        items = tuple(item_types[0](v) for v in value)
+        items = tuple(_number(item_types[0], v) for v in value)
         if item_types[-1] is not Ellipsis and len(items) != len(item_types):
             raise ValueError(f"expected {len(item_types)} entries, got {len(items)}")
         return items
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"config key {key!r}: {exc}") from None
+
+
+def _number(hint, value):
+    """hint(value), refusing booleans for int and float and fractions for int."""
+    if hint in (int, float) and isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return hint(value)
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class PathParam:
     complex_gain: complex
 
     def __post_init__(self):
-        if abs(self.spatial_angle) > 1:
+        if not abs(self.spatial_angle) <= 1:  # also rejects nan
             raise ValueError("spatial_angle must lie in [-1, 1]")
         if not self.distance > 0:
             raise ValueError("distance must be positive")
@@ -102,7 +102,7 @@ class ClusterSpec:
     power_decay_rate: float = 0.0
 
     def __post_init__(self):
-        if abs(self.center_angle) > 1:
+        if not abs(self.center_angle) <= 1:
             raise ValueError("center_angle must lie in [-1, 1]")
         if self.center_distance <= 0:
             raise ValueError("center_distance must be positive")
@@ -174,7 +174,7 @@ def steering_far(array: ArrayConfig, spatial_angle) -> np.ndarray:
         column g is bit-identical to the scalar call for angle g.
     """
     angle = np.asarray(spatial_angle, dtype=float)
-    if np.any(np.abs(angle) > 1):
+    if not np.all(np.abs(angle) <= 1):  # also rejects nan
         raise ValueError("spatial_angle must lie in [-1, 1]")
     delta = array.offsets[:, None] if angle.ndim else array.offsets
     phase = -(2.0 * np.pi / array.wavelength) * array.element_spacing * delta * angle
@@ -200,7 +200,7 @@ def steering_near(array: ArrayConfig, distance, spatial_angle) -> np.ndarray:
     distance, angle = np.asarray(distance, dtype=float), np.asarray(spatial_angle, dtype=float)
     if not np.all(distance > 0):
         raise ValueError("distance must be positive")
-    if np.any(np.abs(angle) > 1):
+    if not np.all(np.abs(angle) <= 1):  # also rejects nan
         raise ValueError("spatial_angle must lie in [-1, 1]")
     d = array.element_spacing
     delta = array.offsets[:, None] if angle.ndim else array.offsets

@@ -114,13 +114,13 @@ class Dictionary:
         if a.ndim != 2:
             raise ValueError("atoms must be a 2-D matrix")
         norms = np.linalg.norm(a, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # also rejects nan
             raise ValueError("all dictionary columns must be unit-norm")
         angles = np.asarray(self.angles, dtype=float)
         distances = np.asarray(self.distances, dtype=float)
         if angles.shape != (a.shape[1],) or distances.shape != (a.shape[1],):
             raise ValueError("angles and distances must have one entry per column")
-        if np.any(np.abs(angles) > 1):
+        if not np.all(np.abs(angles) <= 1):
             raise ValueError("angles must lie in [-1, 1]")
         if not np.all((distances > 0) | np.isinf(distances)):
             raise ValueError("distances must be positive or inf (far-field)")

@@ -83,9 +83,12 @@ class RecoveryResult:
 
 
 def ls_estimate(pilot: PilotMatrix, obs: Observation) -> np.ndarray:
-    """Minimum-norm least-squares channel estimate, shape (K, N)."""
-    pinv = np.linalg.pinv(pilot.entries)
-    return (pinv @ obs.per_subcarrier.T).T
+    """Minimum-norm least-squares channel estimate, shape (K, N).
+
+    Uses the pilot's cached pseudo-inverse, so the SVD runs once per pilot;
+    the result is bit-identical to pinv(P) @ y per subcarrier.
+    """
+    return (pilot.pseudo_inverse @ obs.per_subcarrier.T).T
 
 
 def _temporal_weights(num_blocks: int, si: SideInformation) -> np.ndarray:
@@ -104,11 +107,13 @@ def _greedy_blocks(
 ):
     """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
 
-    Per iteration block b scores ||columns_b^H R||_F^2 (times weights[b]) on
-    the residual R; the best unselected block (ties to the lowest index) has
-    its columns, through ``column_map`` when given, appended to the basis,
-    and ``target`` is refit by least squares over the whole basis. With
-    ``max_columns`` set, a block wider than the columns left scores -inf.
+    Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
+    the residual R; the correlation R^H columns, (S, G), conjugates only the
+    residual and never copies ``columns``. The best unselected block (ties
+    to the lowest index) has its columns, through ``column_map`` when given,
+    appended to the basis, and ``target`` is refit by least squares over the
+    whole basis. With ``max_columns`` set, a block wider than the columns
+    left scores -inf.
     Stops at min(max_blocks, block count) blocks, a relative residual at or
     below ``tolerance``, a zero target, or when no unselected block fits
     ``max_columns``; the candidate is discarded and the loop ends when its
@@ -127,8 +132,8 @@ def _greedy_blocks(
     budget = min(max_blocks, partition.num_blocks)
 
     while total > 0.0 and len(selected) < budget and history[-1] > tolerance:
-        corr = columns.conj().T @ residual  # (G, S)
-        scores = np.add.reduceat(np.sum(np.abs(corr) ** 2, axis=1), partition.starts)
+        corr = residual.conj().T @ columns  # (S, G)
+        scores = np.add.reduceat(np.sum(np.abs(corr) ** 2, axis=0), partition.starts)
         if weights is not None:
             scores = scores * weights
         if selected:
@@ -215,10 +220,16 @@ def bsomp(
 
 
 def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:
-    """Map dictionary-frame coefficients back to channel vectors, (K, N)."""
+    """Map dictionary-frame coefficients back to channel vectors, (K, N).
+
+    Only the atoms with a non-zero coefficient enter the product, so the
+    cost follows the support, not the dictionary width. The result can
+    differ from the dense coefficients @ atoms.T by a few ulps.
+    """
     if result.coefficients.shape[1] != dictionary.num_atoms:
         raise ValueError("coefficient length must equal the dictionary width")
-    return result.coefficients @ dictionary.atoms.T
+    cols = np.flatnonzero(np.any(result.coefficients != 0, axis=0))
+    return result.coefficients[:, cols] @ dictionary.atoms[:, cols].T
 
 
 def nmse(estimate: Sequence, truth: Sequence) -> float:

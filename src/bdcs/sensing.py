@@ -4,6 +4,7 @@ pilot-times-dictionary measurement matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -16,14 +17,28 @@ from .dictionaries import Dictionary
 class PilotMatrix:
     """Q x N pilot combining matrix. Generated pilots have every entry at
     modulus 1/sqrt(Q) (analog phase-shifter model); direct construction with
-    other matrices (e.g. identity) is allowed for baselines."""
+    other matrices (e.g. identity) is allowed for baselines.
+
+    ``entries`` is a read-only copy of the matrix passed in, so the cached
+    ``pseudo_inverse`` can never go stale.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries)
+        e = np.array(self.entries)
         if e.ndim != 2 or e.shape[0] < 1:
             raise ValueError("pilot entries must form a Q x N matrix with Q >= 1")
+        e.flags.writeable = False
+        object.__setattr__(self, "entries", e)
+
+    @cached_property
+    def pseudo_inverse(self) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse, N x Q (read-only): one SVD per pilot,
+        shared by every least-squares estimate through it."""
+        pinv = np.linalg.pinv(self.entries)
+        pinv.flags.writeable = False
+        return pinv
 
     @property
     def pilot_count(self) -> int:

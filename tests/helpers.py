@@ -48,6 +48,29 @@ def block_sparse_instance(rng, measurement, sparsity_blocks, snr_db, num_subcarr
     return x, obs, set(int(b) for b in true_blocks)
 
 
+def block_somp_reference(matrix, y, partition, max_blocks):
+    """Block SOMP written out plainly, kept independent of the package
+    solver: block b scores sum over its columns and the subcarriers of
+    |matrix^H r|^2 on the residual r (Q, K), then a full least-squares refit.
+
+    Returns the selected blocks in selection order.
+    """
+    residual = y.astype(np.complex128)
+    support, cols = [], []
+    for _ in range(min(max_blocks, partition.num_blocks)):
+        corr = matrix.conj().T @ residual  # (G, K)
+        scores = np.array([
+            np.sum(np.abs(corr[partition.block_slice(b)]) ** 2) for b in range(partition.num_blocks)
+        ])
+        scores[support] = -np.inf
+        block = int(np.argmax(scores))
+        support.append(block)
+        cols.extend(range(*partition.block_slice(block).indices(matrix.shape[1])))
+        sol, *_ = np.linalg.lstsq(matrix[:, cols], y, rcond=None)
+        residual = y - matrix[:, cols] @ sol
+    return support
+
+
 def omp_reference(matrix, y, max_atoms, tol=0.0):
     """Plain orthogonal matching pursuit, kept independent of the package
     solver: greedy single-column selection with a full least-squares refit.

@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import bdcs
 from bdcs import ConfigurationError
 from bdcs.bench import (
     ExperimentConfig,
@@ -77,6 +81,18 @@ class TestConfig:
         ],
     )
     def test_int_field_refuses_truncation(self, raw, key):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"pilot": {"fraction": True}}, "pilot.fraction"),
+            ({"snr_db": True}, "snr_db"),
+            ({"snr_db": [True]}, "snr_db"),
+        ],
+    )
+    def test_numeric_field_refuses_booleans(self, raw, key):
         with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
             ExperimentConfig.from_dict(raw)
 
@@ -225,3 +241,27 @@ def test_write_curve_csv_format(tmp_path):
         "x,method,mean_db,stderr_db,trials",
         "1.5,ls,-3.250000,0.125000,7",
     ]
+
+
+_SWEEPS = """
+import sys
+from bdcs.bench import ExperimentConfig, run_nmse_vs_distance, run_se_vs_snr
+run_nmse_vs_distance(ExperimentConfig.from_dict({"trials": 1, "seed": 5}), sys.argv[1] + "/nmse.csv")
+run_se_vs_snr(ExperimentConfig.from_dict({"trials": 2, "seed": 5, "snr_db": [0, 10]}), sys.argv[1] + "/se.csv")
+"""
+
+
+def test_csv_bytes_independent_of_blas_threads(tmp_path):
+    src = str(Path(bdcs.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        subprocess.run([sys.executable, "-c", _SWEEPS, str(out)], env=env, check=True, timeout=300)
+        outputs.append([(out / name).read_bytes() for name in ("nmse.csv", "se.csv")])
+    assert outputs[0] == outputs[1]

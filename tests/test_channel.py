@@ -45,6 +45,11 @@ class TestSteeringFar:
         with pytest.raises(ValueError):
             steering_far(ArrayConfig(4, 30e9), 1.2)
 
+    @pytest.mark.parametrize("angle", [np.nan, [0.0, np.nan]])
+    def test_nan_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="spatial_angle"):
+            steering_far(ArrayConfig(4, 30e9), angle)
+
 
 class TestSteeringNear:
     def test_unit_modulus_entries(self):
@@ -78,6 +83,11 @@ class TestSteeringNear:
             steering_near(arr, 0.0, 0.2)
         with pytest.raises(ValueError):
             steering_near(arr, 5.0, -1.5)
+
+    @pytest.mark.parametrize("angle", [np.nan, [0.0, np.nan]])
+    def test_nan_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="spatial_angle"):
+            steering_near(ArrayConfig(4, 30e9), [5.0, 6.0] if np.ndim(angle) else 5.0, angle)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -199,6 +209,12 @@ class TestValidation:
             PathParam(1.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             PathParam(0.0, -1.0, 1.0)
+
+    def test_nan_angles_rejected(self):
+        with pytest.raises(ValueError, match="spatial_angle"):
+            PathParam(np.nan, 1.0, 1.0)
+        with pytest.raises(ValueError, match="center_angle"):
+            ClusterSpec(np.nan, 10.0)
 
     def test_cluster_bounds(self):
         with pytest.raises(ValueError):

@@ -244,6 +244,12 @@ class TestDictionaryValidation:
         with pytest.raises(ValueError):
             Dictionary(m, [0.0, 0.1], [np.inf, np.inf], BlockPartition.uniform(2, 1))
 
+    def test_rejects_nan_column(self):
+        m = np.eye(2, dtype=complex)
+        m[:, 1] = np.nan
+        with pytest.raises(ValueError, match="unit-norm"):
+            Dictionary(m, [0.0, 0.1], [np.inf, np.inf], BlockPartition.uniform(2, 1))
+
     def test_metadata_length_checked(self):
         m = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="one entry per column"):
@@ -254,6 +260,10 @@ class TestDictionaryValidation:
     def test_angle_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="angles"):
             Dictionary(np.eye(2, dtype=complex), [0.0, 1.5], [np.inf, np.inf], BlockPartition.uniform(2, 1))
+
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ValueError, match="angles"):
+            Dictionary(np.eye(2, dtype=complex), [0.0, np.nan], [np.inf, np.inf], BlockPartition.uniform(2, 1))
 
     @pytest.mark.parametrize("distance", [0.0, -3.0, np.nan])
     def test_non_positive_distance_rejected(self, distance):

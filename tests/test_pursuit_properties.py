@@ -1,6 +1,7 @@
 """Properties of the greedy block pursuit that bsomp and the hybrid precoder
 share, checked through both public callers on random shapes and random,
-possibly unequal, block lengths."""
+possibly unequal, block lengths; and of reconstruct, which bsomp uses for
+its channel estimates."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from bdcs import (
     Observation,
     PrecoderPair,
     RecoveryConfig,
+    RecoveryResult,
     SideInformation,
     block_sparse_precoding,
     bsomp,
     make_pilot_matrix,
     measurement_matrix,
+    reconstruct,
 )
-from helpers import random_dictionary
+from helpers import block_somp_reference, random_dictionary
 
 block_lengths = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=8)
 
@@ -82,3 +85,44 @@ def test_hybrid_precoder_respects_the_chain_budget(lengths, n_t, n_s, extra_chai
     assert pair.num_streams == n_s
     assert np.allclose(np.abs(pair.f_rf), 1.0 / np.sqrt(n_t), atol=1e-12)
     assert abs(np.linalg.norm(pair.combined) ** 2 - n_s) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=block_lengths,
+    k=st.integers(min_value=1, max_value=3),
+    max_blocks=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_bsomp_support_matches_reference_loop(lengths, k, max_blocks, seed):
+    rng = np.random.default_rng(seed)
+    partition = BlockPartition.from_lengths(lengths)
+    dictionary = random_dictionary(rng, 32, partition.size, 1)
+    mm = measurement_matrix(make_pilot_matrix(24, 32, seed), dictionary)
+    y = rng.standard_normal((k, 24)) + 1j * rng.standard_normal((k, 24))
+
+    result = bsomp(mm, Observation(y, 0.0, np.inf), RecoveryConfig(max_blocks, 0.0, partition))
+
+    assert list(result.support_blocks) == block_somp_reference(mm.entries, y.T, partition, max_blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    g=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=4),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_reconstruct_matches_dense_product(n, g, k, density, seed):
+    rng = np.random.default_rng(seed)
+    dictionary = random_dictionary(rng, n, g, 1)
+    coef = rng.standard_normal((k, g)) + 1j * rng.standard_normal((k, g))
+    coef[rng.random((k, g)) >= density] = 0.0
+
+    out = reconstruct(dictionary, RecoveryResult((), coef, None, (1.0,)))
+
+    # unit-norm atoms bound each entry's rounding error by about g ulps of sum |coef|
+    np.testing.assert_allclose(out, coef @ dictionary.atoms.T, rtol=1e-12, atol=1e-12 * np.abs(coef).sum())
+    if density == 0.0:
+        assert out.shape == (k, n) and not out.any()

@@ -55,6 +55,14 @@ class TestLsEstimate:
         oracle = p.conj().T @ np.linalg.inv(p @ p.conj().T) @ y[0]
         assert np.linalg.norm(est[0] - oracle) < 1e-8
 
+    def test_bit_identical_to_fresh_pinv(self):
+        rng = np.random.default_rng(3)
+        pilot = make_pilot_matrix(8, 16, seed=4)
+        for _ in range(2):  # the second call reuses the cached pseudo-inverse
+            y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+            est = ls_estimate(pilot, Observation(y, 0.0, np.inf))
+            assert np.array_equal(est, (np.linalg.pinv(pilot.entries) @ y.T).T)
+
 
 class TestBsompOmpEquivalence:
     def test_matches_plain_omp(self):

@@ -44,6 +44,26 @@ class TestPilotMatrix:
         with pytest.raises(ValueError):
             make_pilot_matrix(0, 8, seed=0)
 
+    def test_entries_are_read_only(self):
+        p = make_pilot_matrix(4, 8, seed=0)
+        with pytest.raises(ValueError):
+            p.entries[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            p.pseudo_inverse[0, 0] = 0.0
+
+    def test_entries_are_copied(self):
+        source = np.exp(1j * np.arange(32.0)).reshape(4, 8)
+        entries, pinv = source.copy(), np.linalg.pinv(source)
+        p = PilotMatrix(source)
+        source[:] = 0.0  # before the pseudo-inverse is first computed
+        assert np.array_equal(p.entries, entries)
+        assert np.array_equal(p.pseudo_inverse, pinv)
+
+    def test_pseudo_inverse_computed_once(self):
+        p = make_pilot_matrix(4, 8, seed=0)
+        assert p.pseudo_inverse is p.pseudo_inverse
+        assert np.array_equal(p.pseudo_inverse, np.linalg.pinv(p.entries))
+
 
 class TestObserve:
     def test_infinite_snr_exact(self):
