@@ -134,7 +134,7 @@ class SubcarrierGrid:
         return self.center_freq + (k - (self.subcarrier_count - 1) / 2.0) * self.spacing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Ground-truth channel: per-subcarrier vectors plus the paths that built them.
 

@@ -94,7 +94,7 @@ class BlockPartition:
         return slice(start, start + length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Unit-norm atom matrix with per-column angles and distances and a
     block partition.

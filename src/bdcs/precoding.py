@@ -18,7 +18,7 @@ from .errors import ConfigurationError
 from .recovery import RecoveryConfig, _greedy_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixChannel:
     """Dense N_r x N_t channel matrix."""
 
@@ -40,7 +40,7 @@ class MatrixChannel:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecoderPair:
     """Constant-modulus analog stage F_RF (N_t x n_rf) and digital stage
     F_BB (n_rf x N_s), normalized so ||F_RF F_BB||_F^2 = N_s."""
@@ -106,10 +106,12 @@ def block_sparse_precoding(
 
     Iterates: score every block by ||A_b^H R||_F^2 against the residual
     R = F_OPT - F_RF F_BB, append the winning block's atoms phase-projected
-    to modulus 1/sqrt(N_t), refit F_BB by least squares. Blocks wider than
-    the RF chains left are skipped. Stops when no unselected block fits the
-    chains left, the relative residual reaches the tolerance, or the block
-    budget runs out, then rescales F_BB to the stream power budget.
+    to modulus 1/sqrt(N_t), and remove from R its projection onto their new
+    orthonormal directions. Blocks wider than the RF chains left are
+    skipped. Stops when no unselected block fits the chains left, the
+    relative residual reaches the tolerance, or the block budget runs out;
+    F_BB is then the minimum-norm least-squares fit over the chosen
+    columns, rescaled to the stream power budget.
     """
     f_opt = np.asarray(f_opt)
     n_t, n_s = f_opt.shape

@@ -4,8 +4,13 @@ bsomp() selects whole dictionary blocks by correlating all subcarrier
 residuals at once (joint scoring), optionally biased toward a previously
 known support (temporal weighting) and stopped early when a newly selected
 block carries almost no energy (decay stopping). Its greedy loop,
-_greedy_blocks(), is shared with the block-sparse hybrid precoder. A
-least-squares baseline and the NMSE metric live here as well.
+_greedy_blocks(), is shared with the block-sparse hybrid precoder. The loop
+never refits the whole support: it keeps an orthonormal basis of the
+accepted columns, updates the residual and the correlation by projection
+onto each block's new directions, and takes the coefficients from a small
+upper-trapezoidal system; they are the minimum-norm least-squares fit over
+the accepted support. A least-squares baseline and the NMSE metric live
+here as well.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class RecoveryConfig:
             raise ValueError("residual_tolerance must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Support blocks in selection order, dictionary-frame coefficients (K, G),
     reconstructed channels (K, N), and the relative residual trajectory."""
@@ -91,13 +96,26 @@ def ls_estimate(pilot: PilotMatrix, obs: Observation) -> np.ndarray:
     return (pilot.pseudo_inverse @ obs.per_subcarrier.T).T
 
 
-def _temporal_weights(num_blocks: int, si: SideInformation) -> np.ndarray:
-    weights = np.ones(num_blocks)
-    if si.temporal_gain > 0 and len(si.previous_support) > 0:
-        prev = np.asarray(si.previous_support, dtype=float)
-        dist = np.abs(np.arange(num_blocks)[:, None] - prev[None, :]).min(axis=1)
-        weights += si.temporal_gain * np.exp(-dist / si.temporal_width)
-    return weights
+def _temporal_weights(num_blocks: int, si: Optional[SideInformation]) -> Optional[np.ndarray]:
+    """BD-SI block weights, or None when ``si`` leaves every weight at 1."""
+    if si is None or si.temporal_gain == 0 or len(si.previous_support) == 0:
+        return None
+    prev = np.asarray(si.previous_support, dtype=float)
+    dist = np.abs(np.arange(num_blocks)[:, None] - prev[None, :]).min(axis=1)
+    return 1.0 + si.temporal_gain * np.exp(-dist / si.temporal_width)
+
+
+_DEPENDENT = 1e-10
+"""A column whose component orthogonal to the accepted basis is at most this
+fraction of its norm adds no direction to the basis."""
+
+
+def _support_coefficients(t: np.ndarray, qy: np.ndarray, rank: int, width: int) -> np.ndarray:
+    """Minimum-norm solution of T[:rank, :width] c = (Q^H target)[:rank], which
+    is the minimum-norm least-squares fit of the target over the basis Q T."""
+    if rank == width:
+        return np.linalg.solve(t[:rank, :rank], qy[:rank])
+    return np.linalg.lstsq(t[:rank, :width], qy[:rank], rcond=None)[0]
 
 
 def _greedy_blocks(
@@ -108,12 +126,23 @@ def _greedy_blocks(
     """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
 
     Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
-    the residual R; the correlation R^H columns, (S, G), conjugates only the
-    residual and never copies ``columns``. The best unselected block (ties
-    to the lowest index) has its columns, through ``column_map`` when given,
-    appended to the basis, and ``target`` is refit by least squares over the
-    whole basis. With ``max_columns`` set, a block wider than the columns
-    left scores -inf.
+    the residual R, and the best unselected block (ties to the lowest index)
+    has its columns, through ``column_map`` when given, appended to the
+    basis. With ``max_columns`` set, a block wider than the columns left is
+    not a candidate.
+
+    The basis is held as Q T: Q has orthonormal columns, T is upper
+    trapezoidal, and Q^H target is kept beside them. Each new column is
+    orthogonalised against Q by classical Gram-Schmidt with one
+    re-orthogonalisation; a column with (almost) no component outside Q adds
+    no direction, so supports wider than M stay exact. The new directions U
+    update the residual R <- R - U (U^H target) and the correlation
+    R^H columns, formed once from the target, by the cheaper of
+    (U^H target)^H (U^H columns) and (U U^H target)^H columns; that update
+    runs only once another block is known to be admissible. The
+    coefficients, the minimum-norm least-squares fit over the basis, solve
+    T c = Q^H target; they are solved for the decay rule and once at the end.
+
     Stops at min(max_blocks, block count) blocks, a relative residual at or
     below ``tolerance``, a zero target, or when no unselected block fits
     ``max_columns``; the candidate is discarded and the loop ends when its
@@ -122,48 +151,87 @@ def _greedy_blocks(
     Returns (selected blocks, their column indices, basis (M, C),
     coefficients (C, S), relative residual history starting at 1.0).
     """
+    m, s = target.shape
+    lengths = partition.lengths
+    budget = min(max_blocks, partition.num_blocks)
+    width = int(np.sort(lengths)[partition.num_blocks - budget:].sum())
+    if max_columns is not None:
+        width = min(width, max_columns)
+    dtype = np.result_type(columns, target)
+    q = np.empty((m, min(m, width)), dtype=dtype)
+    qh = np.empty((q.shape[1], m), dtype=dtype)  # Q^H, row by row
+    t = np.zeros((q.shape[1], width), dtype=dtype)
+    qy = np.empty((q.shape[1], s), dtype=dtype)
+
     total = float(np.linalg.norm(target))
     selected: list = []
     cols: list = []
-    basis = columns[:, :0]
-    coef = np.zeros((0, target.shape[1]), dtype=np.result_type(columns, target))
-    residual = target
+    blocks: list = []
     history = [1.0]
-    budget = min(max_blocks, partition.num_blocks)
+    residual = target
+    corr = None
+    rank = used = new_rank = 0
+    candidates = np.ones(partition.num_blocks, dtype=bool)
 
     while total > 0.0 and len(selected) < budget and history[-1] > tolerance:
-        corr = residual.conj().T @ columns  # (S, G)
-        scores = np.add.reduceat(np.sum(np.abs(corr) ** 2, axis=0), partition.starts)
-        if weights is not None:
-            scores = scores * weights
-        if selected:
-            scores[np.asarray(selected)] = -np.inf
         if max_columns is not None:
-            scores[partition.lengths > max_columns - basis.shape[1]] = -np.inf
+            candidates &= lengths <= max_columns - used
+            if not candidates.any():
+                break
+        if corr is None:
+            corr = target.conj().T @ columns  # (S, G)
+        elif 0 < new_rank < s:
+            corr -= uy.conj().T @ (uh @ columns)
+        elif new_rank:
+            corr -= (uy.conj().T @ uh) @ columns
+        scores = np.add.reduceat(np.sum(corr.real ** 2 + corr.imag ** 2, axis=0), partition.starts)
+        if weights is not None:
+            scores *= weights
+        scores[~candidates] = -np.inf
         block = int(np.argmax(scores))
-        if scores[block] == -np.inf:
-            break  # no unselected block fits the column cap
 
         block_slice = partition.block_slice(block)
         new_cols = columns[:, block_slice]
         if column_map is not None:
             new_cols = column_map(new_cols)
-        trial_basis = np.concatenate([basis, new_cols], axis=1)
-        trial_coef, *_ = np.linalg.lstsq(trial_basis, target, rcond=None)
+        start = rank
+        for j in range(new_cols.shape[1]):
+            a = new_cols[:, j]
+            h = qh[:rank] @ a
+            v = a - q[:, :rank] @ h
+            h2 = qh[:rank] @ v
+            v -= q[:, :rank] @ h2
+            t[:rank, used + j] = h + h2
+            norm = np.vdot(v, v).real ** 0.5
+            if norm > _DEPENDENT * np.vdot(a, a).real ** 0.5:
+                v /= norm
+                q[:, rank] = v
+                qh[rank] = v.conj()
+                t[rank, used + j] = norm
+                rank += 1
+        qy[start:rank] = qh[start:rank] @ target
 
         if decay_floor is not None and selected:
-            first_len = int(partition.lengths[selected[0]])
-            energy_first = float(np.sum(np.abs(trial_coef[:first_len]) ** 2))
-            energy_new = float(np.sum(np.abs(trial_coef[-new_cols.shape[1]:]) ** 2))
-            if energy_new < decay_floor * energy_first:
+            trial = _support_coefficients(t, qy, rank, used + new_cols.shape[1])
+            first = trial[: lengths[selected[0]]]
+            new = trial[used:]
+            energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
+            if float(np.sum(new.real ** 2 + new.imag ** 2)) < decay_floor * energy_first:
+                rank = start
                 break  # decaying-energy stop
 
         selected.append(block)
+        candidates[block] = False
         cols.extend(range(*block_slice.indices(columns.shape[1])))
-        basis, coef = trial_basis, trial_coef
-        residual = target - basis @ coef
+        blocks.append(new_cols)
+        used += new_cols.shape[1]
+        new_rank = rank - start
+        uh, uy = qh[start:rank], qy[start:rank]
+        residual = residual - q[:, start:rank] @ uy
         history.append(float(np.linalg.norm(residual)) / total)
 
+    basis = np.concatenate(blocks, axis=1) if blocks else columns[:, :0]
+    coef = _support_coefficients(t, qy, rank, used)
     return selected, cols, basis, coef, history
 
 
@@ -179,11 +247,12 @@ def bsomp(
     residuals of all K subcarriers; a single subcarrier reduces this to plain
     block OMP, and single-column blocks reduce it further to OMP. The argmax
     block (ties to the lowest index, already selected blocks excluded) is
-    appended and the coefficients are refit by joint least squares over the
-    whole accumulated support, which keeps the relative residual
-    non-increasing. Stopping: block budget reached, relative residual at or
-    below cfg.residual_tolerance, or the decay rule from ``si`` fires (the
-    offending block is discarded).
+    appended; the residual drops its projection onto the block's new
+    orthonormal directions, which keeps the relative residual
+    non-increasing, and the coefficients are the minimum-norm joint
+    least-squares fit over the whole accumulated support. Stopping: block
+    budget reached, relative residual at or below cfg.residual_tolerance, or
+    the decay rule from ``si`` fires (the offending block is discarded).
 
     Returns dictionary-frame coefficients (measurement column scales undone)
     and the reconstruction A @ x per subcarrier.
@@ -208,7 +277,7 @@ def bsomp(
     dictionary = measurement.dictionary
     selected, cols, _, solution, history = _greedy_blocks(
         phi, y, partition, cfg.max_blocks, cfg.residual_tolerance,
-        weights=_temporal_weights(partition.num_blocks, si) if si is not None else None,
+        weights=_temporal_weights(partition.num_blocks, si),
         decay_floor=si.decay_floor if si is not None else None,
     )
     coefficients = np.zeros((y.shape[1], phi.shape[1]), dtype=np.complex128)

@@ -13,7 +13,7 @@ from .channel import ChannelRealization
 from .dictionaries import Dictionary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotMatrix:
     """Q x N pilot combining matrix. Generated pilots have every entry at
     modulus 1/sqrt(Q) (analog phase-shifter model); direct construction with
@@ -49,7 +49,7 @@ class PilotMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """Received pilot signal per subcarrier, shape (K, Q), plus the noise level."""
 
@@ -65,7 +65,7 @@ class Observation:
             raise ValueError("noise_variance must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Product of pilot and dictionary, Q x G.
 

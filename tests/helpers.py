@@ -1,6 +1,8 @@
 """Shared test utilities: synthetic dictionaries, observation builders, and
 independent reference implementations used as oracles."""
 
+from typing import Callable, Optional
+
 import numpy as np
 
 from bdcs import BlockPartition, Dictionary, Observation
@@ -96,3 +98,70 @@ def omp_reference(matrix, y, max_atoms, tol=0.0):
             break
     coef[support] = sol
     return support, coef
+
+
+def greedy_blocks_reference(
+    columns: np.ndarray, target: np.ndarray, partition: BlockPartition, max_blocks: int,
+    tolerance: float, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
+    column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
+):
+    """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
+
+    Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
+    the residual R; the correlation R^H columns, (S, G), conjugates only the
+    residual and never copies ``columns``. The best unselected block (ties
+    to the lowest index) has its columns, through ``column_map`` when given,
+    appended to the basis, and ``target`` is refit by least squares over the
+    whole basis. With ``max_columns`` set, a block wider than the columns
+    left scores -inf.
+    Stops at min(max_blocks, block count) blocks, a relative residual at or
+    below ``tolerance``, a zero target, or when no unselected block fits
+    ``max_columns``; the candidate is discarded and the loop ends when its
+    coefficient energy falls below ``decay_floor`` times the first block's.
+
+    Returns (selected blocks, their column indices, basis (M, C),
+    coefficients (C, S), relative residual history starting at 1.0).
+    """
+    total = float(np.linalg.norm(target))
+    selected: list = []
+    cols: list = []
+    basis = columns[:, :0]
+    coef = np.zeros((0, target.shape[1]), dtype=np.result_type(columns, target))
+    residual = target
+    history = [1.0]
+    budget = min(max_blocks, partition.num_blocks)
+
+    while total > 0.0 and len(selected) < budget and history[-1] > tolerance:
+        corr = residual.conj().T @ columns  # (S, G)
+        scores = np.add.reduceat(np.sum(np.abs(corr) ** 2, axis=0), partition.starts)
+        if weights is not None:
+            scores = scores * weights
+        if selected:
+            scores[np.asarray(selected)] = -np.inf
+        if max_columns is not None:
+            scores[partition.lengths > max_columns - basis.shape[1]] = -np.inf
+        block = int(np.argmax(scores))
+        if scores[block] == -np.inf:
+            break  # no unselected block fits the column cap
+
+        block_slice = partition.block_slice(block)
+        new_cols = columns[:, block_slice]
+        if column_map is not None:
+            new_cols = column_map(new_cols)
+        trial_basis = np.concatenate([basis, new_cols], axis=1)
+        trial_coef, *_ = np.linalg.lstsq(trial_basis, target, rcond=None)
+
+        if decay_floor is not None and selected:
+            first_len = int(partition.lengths[selected[0]])
+            energy_first = float(np.sum(np.abs(trial_coef[:first_len]) ** 2))
+            energy_new = float(np.sum(np.abs(trial_coef[-new_cols.shape[1]:]) ** 2))
+            if energy_new < decay_floor * energy_first:
+                break  # decaying-energy stop
+
+        selected.append(block)
+        cols.extend(range(*block_slice.indices(columns.shape[1])))
+        basis, coef = trial_basis, trial_coef
+        residual = target - basis @ coef
+        history.append(float(np.linalg.norm(residual)) / total)
+
+    return selected, cols, basis, coef, history

@@ -1,7 +1,8 @@
 """Properties of the greedy block pursuit that bsomp and the hybrid precoder
 share, checked through both public callers on random shapes and random,
-possibly unequal, block lengths; and of reconstruct, which bsomp uses for
-its channel estimates."""
+possibly unequal, block lengths, and against a least-squares-refit oracle of
+the kernel itself; and of reconstruct, which bsomp uses for its channel
+estimates."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from bdcs import (
     measurement_matrix,
     reconstruct,
 )
-from helpers import block_somp_reference, random_dictionary
+from bdcs.recovery import _greedy_blocks
+from helpers import block_somp_reference, greedy_blocks_reference, random_dictionary
 
 block_lengths = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=8)
 
@@ -104,6 +106,60 @@ def test_bsomp_support_matches_reference_loop(lengths, k, max_blocks, seed):
     result = bsomp(mm, Observation(y, 0.0, np.inf), RecoveryConfig(max_blocks, 0.0, partition))
 
     assert list(result.support_blocks) == block_somp_reference(mm.entries, y.T, partition, max_blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8),
+    m=st.integers(min_value=2, max_value=12),
+    s=st.integers(min_value=1, max_value=4),
+    max_blocks=st.integers(min_value=1, max_value=6),
+    tolerance=st.sampled_from([0.0, 1e-6, 0.3]),
+    weighted=st.booleans(),
+    decay_floor=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+    phase_map=st.booleans(),
+    max_columns=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+    duplicate=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_kernel_matches_lstsq_refit_reference(
+    lengths, m, s, max_blocks, tolerance, weighted, decay_floor, phase_map, max_columns, duplicate, seed
+):
+    partition = BlockPartition.from_lengths(lengths)
+    widest = sum(sorted(lengths)[-max_blocks:])
+    # once the residual is zero to rounding (M rows spanned), block scores are
+    # rounding noise and no two implementations need agree on the next block
+    assume(tolerance > 0 or m >= widest)
+    rng = np.random.default_rng(seed)
+    g = partition.size
+    columns = rng.standard_normal((m, g)) + 1j * rng.standard_normal((m, g))
+    if duplicate:
+        assume(g >= 2)
+        i, j = rng.choice(g, size=2, replace=False)
+        columns[:, j] = columns[:, i]
+        # two one-column blocks holding the copies tie exactly, and BLAS need
+        # not round both copies' correlations alike, so neither loop can
+        # promise the lowest index
+        owners = np.searchsorted(partition.starts, [i, j], side="right") - 1
+        assume(max(partition.lengths[owners]) > 1)
+    target = rng.standard_normal((m, s)) + 1j * rng.standard_normal((m, s))
+    kwargs = dict(
+        weights=rng.uniform(0.5, 2.0, partition.num_blocks) if weighted else None,
+        decay_floor=decay_floor,
+        column_map=(lambda c: np.exp(1j * np.angle(c)) / np.sqrt(m)) if phase_map else None,
+        max_columns=max_columns,
+    )
+
+    sel, cols, basis, coef, history = _greedy_blocks(columns, target, partition, max_blocks, tolerance, **kwargs)
+    ref_sel, ref_cols, ref_basis, ref_coef, ref_history = greedy_blocks_reference(
+        columns, target, partition, max_blocks, tolerance, **kwargs
+    )
+
+    assert sel == ref_sel and cols == ref_cols
+    assert np.array_equal(basis, ref_basis)
+    assert coef.shape == ref_coef.shape
+    assert np.linalg.norm(coef - ref_coef) <= 1e-8 * max(np.linalg.norm(ref_coef), 1e-300)
+    np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-8)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,6 +17,7 @@ from bdcs import (
     nmse,
     reconstruct,
 )
+from bdcs.recovery import _temporal_weights
 from helpers import block_sparse_instance, omp_reference, random_dictionary
 
 
@@ -140,6 +141,22 @@ class TestBsompInvariants:
         )
         assert plain.support_blocks == weighted.support_blocks
         assert np.array_equal(plain.coefficients, weighted.coefficients)
+
+    @pytest.mark.parametrize("si", [
+        SideInformation(temporal_gain=5.0, decay_floor=0.05),
+        SideInformation((1, 5), temporal_gain=0.0, decay_floor=0.05),
+    ])
+    def test_inert_side_information_skips_weights(self, si):
+        rng = np.random.default_rng(36)
+        mm = make_measurement(rng)
+        _, obs, _ = block_sparse_instance(rng, mm, 3, 3.0, num_subcarriers=2)
+        assert _temporal_weights(mm.dictionary.partition.num_blocks, si) is None
+        plain = bsomp(mm, obs, RecoveryConfig(4, 0.0), SideInformation(decay_floor=0.05))
+        inert = bsomp(mm, obs, RecoveryConfig(4, 0.0), si)
+        assert plain.support_blocks == inert.support_blocks
+        assert plain.residual_history == inert.residual_history
+        assert np.array_equal(plain.coefficients, inert.coefficients)
+        assert np.array_equal(plain.reconstructed_channels, inert.reconstructed_channels)
 
     def test_bmmv_specialization_identical_observations(self):
         rng = np.random.default_rng(33)
