@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -99,7 +100,9 @@ class Dictionary:
     """Unit-norm atom matrix with per-column angles and distances and a
     block partition.
 
-    ``atoms`` has shape (N, G); ``angles`` and ``distances`` have length G.
+    ``atoms`` has shape (N, G) and is made read-only in place, so the cached
+    ``single_precision`` copy can never go stale; ``angles`` and
+    ``distances`` have length G.
     """
 
     atoms: np.ndarray
@@ -116,6 +119,8 @@ class Dictionary:
         norms = np.linalg.norm(a, axis=0)
         if not np.all(np.abs(norms - 1.0) <= 1e-10):  # also rejects nan
             raise ValueError("all dictionary columns must be unit-norm")
+        a.flags.writeable = False
+        object.__setattr__(self, "atoms", a)
         angles = np.asarray(self.angles, dtype=float)
         distances = np.asarray(self.distances, dtype=float)
         if angles.shape != (a.shape[1],) or distances.shape != (a.shape[1],):
@@ -129,6 +134,13 @@ class Dictionary:
         if self.partition.size != a.shape[1]:
             raise ConfigurationError("partition must cover the columns exactly")
 
+    @cached_property
+    def single_precision(self) -> np.ndarray:
+        """The atoms in complex64, scaled to a largest column norm of 1
+        (read-only): the greedy block kernel's screen, built once per
+        dictionary."""
+        return _single_precision(self.atoms)
+
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[1]
@@ -136,6 +148,16 @@ class Dictionary:
     @property
     def num_antennas(self) -> int:
         return self.atoms.shape[0]
+
+
+def _single_precision(matrix: np.ndarray) -> np.ndarray:
+    """Read-only complex64 copy of ``matrix`` divided by its largest column
+    norm, rounded chunk by chunk, so no float64 copy is made."""
+    largest = float(np.linalg.norm(matrix, axis=0).max(initial=0.0))
+    low = np.empty(matrix.shape, dtype=np.complex64)
+    np.multiply(matrix, 1.0 / largest if largest > 0 else 1.0, out=low, casting="same_kind")
+    low.flags.writeable = False
+    return low
 
 
 @dataclass(frozen=True)

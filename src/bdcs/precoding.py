@@ -111,7 +111,8 @@ def block_sparse_precoding(
     skipped. Stops when no unselected block fits the chains left, the
     relative residual reaches the tolerance, or the block budget runs out;
     F_BB is then the minimum-norm least-squares fit over the chosen
-    columns, rescaled to the stream power budget.
+    columns, rescaled to the stream power budget. Blocks are scored through
+    the dictionary's cached ``single_precision`` copy.
     """
     f_opt = np.asarray(f_opt)
     n_t, n_s = f_opt.shape
@@ -127,7 +128,7 @@ def block_sparse_precoding(
     _, _, f_rf, f_bb, _ = _greedy_blocks(
         dictionary.atoms, f_opt, partition, max_blocks, tol,
         column_map=lambda cols: target_mod * np.exp(1j * np.angle(cols)),
-        max_columns=num_rf_chains,
+        max_columns=num_rf_chains, screen=dictionary.single_precision,
     )
 
     combined_norm = float(np.linalg.norm(f_rf @ f_bb))

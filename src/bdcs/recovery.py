@@ -9,8 +9,13 @@ never refits the whole support: it keeps an orthonormal basis of the
 accepted columns, updates the residual and the correlation by projection
 onto each block's new directions, and takes the coefficients from a small
 upper-trapezoidal system; they are the minimum-norm least-squares fit over
-the accepted support. A least-squares baseline and the NMSE metric live
-here as well.
+the accepted support. Blocks are scored in single precision with a running
+bound on the rounding error, and only the few blocks that bound cannot
+separate from the best are rescored in float64, so the selection, and with
+it every float64 coefficient and residual, is that of float64 scores; exact
+scores within a relative 1e-12 tie to the lowest block index. The loop also
+stops at a relative residual of 1e-12, where scores are rounding noise. A
+least-squares baseline and the NMSE metric live here as well.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dictionaries import BlockPartition, Dictionary
+from .dictionaries import BlockPartition, Dictionary, _single_precision
 from .errors import ConfigurationError
 from .sensing import MeasurementMatrix, Observation, PilotMatrix
 
@@ -109,6 +114,25 @@ _DEPENDENT = 1e-10
 """A column whose component orthogonal to the accepted basis is at most this
 fraction of its norm adds no direction to the basis."""
 
+_NOISE_FLOOR = 1e-12
+"""Relative residual at or below which the greedy loop stops whatever its
+tolerance: the target is fitted to rounding and block scores are noise."""
+
+_TIE = 1e-12
+"""Exact block scores within this fraction of the best tie; the lowest block
+index wins."""
+
+_U = 2.0 ** -24
+"""Unit roundoff of complex64, the precision of the block screen."""
+
+
+def _dot_error(n: int) -> float:
+    """Bound on |fl(x^H y) - x^H y| / (||x|| ||y||) for float64 vectors of
+    length n rounded to complex64 and multiplied there: sqrt(2) gamma_(n+2)
+    for the product and u per rounded factor, doubled, which also covers the
+    float64 rounding of the residual and of the exact scores."""
+    return 2.0 * (n + 4) * _U
+
 
 def _support_coefficients(t: np.ndarray, qy: np.ndarray, rank: int, width: int) -> np.ndarray:
     """Minimum-norm solution of T[:rank, :width] c = (Q^H target)[:rank], which
@@ -122,31 +146,46 @@ def _greedy_blocks(
     columns: np.ndarray, target: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
     column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
+    screen: Optional[np.ndarray] = None,
 ):
     """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
 
     Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
-    the residual R, and the best unselected block (ties to the lowest index)
-    has its columns, through ``column_map`` when given, appended to the
-    basis. With ``max_columns`` set, a block wider than the columns left is
-    not a candidate.
+    the residual R, and the best unselected block (exact scores within a
+    relative 1e-12 of the best tie to the lowest index) has its columns,
+    through ``column_map`` when given, appended to the basis. With
+    ``max_columns`` set, a block wider than the columns left is not a
+    candidate.
+
+    Blocks are screened in single precision: C = R^H columns / (||target||
+    c_max), c_max the largest column norm, is kept in complex64 against
+    ``screen``, the columns over c_max in complex64 (``_single_precision``,
+    made here when not given). A running bound e on every |C^ - C| starts
+    at _dot_error(M) and grows with each update by the norms of its
+    factors, so block b's screened score is within L_b (2 e sqrt(S) ||R|| +
+    S e^2), plus the rounding of its float32 squares and sums, of the exact
+    one (both times weights[b]). Blocks whose upper bound reaches the best
+    lower bound, less the tie width, are candidates; a lone candidate is
+    selected, otherwise the candidates' float64 scores, over their columns
+    only, decide. So the selection is that of float64 scores, and the
+    float64 residual, basis and coefficients are those of a float64 loop.
 
     The basis is held as Q T: Q has orthonormal columns, T is upper
     trapezoidal, and Q^H target is kept beside them. Each new column is
     orthogonalised against Q by classical Gram-Schmidt with one
     re-orthogonalisation; a column with (almost) no component outside Q adds
     no direction, so supports wider than M stay exact. The new directions U
-    update the residual R <- R - U (U^H target) and the correlation
-    R^H columns, formed once from the target, by the cheaper of
-    (U^H target)^H (U^H columns) and (U U^H target)^H columns; that update
-    runs only once another block is known to be admissible. The
+    update the residual R <- R - U (U^H target) and the correlation by the
+    cheaper of (U^H target)^H (U^H columns) and (U U^H target)^H columns;
+    that update runs only once another block is known to be admissible. The
     coefficients, the minimum-norm least-squares fit over the basis, solve
     T c = Q^H target; they are solved for the decay rule and once at the end.
 
     Stops at min(max_blocks, block count) blocks, a relative residual at or
-    below ``tolerance``, a zero target, or when no unselected block fits
-    ``max_columns``; the candidate is discarded and the loop ends when its
-    coefficient energy falls below ``decay_floor`` times the first block's.
+    below ``tolerance`` or 1e-12, a zero target, or when no unselected block
+    fits ``max_columns``; the candidate is discarded and the loop ends when
+    its coefficient energy falls below ``decay_floor`` times the first
+    block's.
 
     Returns (selected blocks, their column indices, basis (M, C),
     coefficients (C, S), relative residual history starting at 1.0).
@@ -162,8 +201,11 @@ def _greedy_blocks(
     qh = np.empty((q.shape[1], m), dtype=dtype)  # Q^H, row by row
     t = np.zeros((q.shape[1], width), dtype=dtype)
     qy = np.empty((q.shape[1], s), dtype=dtype)
+    owner = np.repeat(np.arange(partition.num_blocks), 2 * lengths)  # block of each float32 of a row of C
+    score_rounding = 2.0 * _U * (s + 2)  # relative, of the float32 squares and sums over S
 
     total = float(np.linalg.norm(target))
+    stop = max(tolerance, _NOISE_FLOOR)
     selected: list = []
     cols: list = []
     blocks: list = []
@@ -173,22 +215,47 @@ def _greedy_blocks(
     rank = used = new_rank = 0
     candidates = np.ones(partition.num_blocks, dtype=bool)
 
-    while total > 0.0 and len(selected) < budget and history[-1] > tolerance:
+    while total > 0.0 and len(selected) < budget and history[-1] > stop:
         if max_columns is not None:
             candidates &= lengths <= max_columns - used
             if not candidates.any():
                 break
+        r = history[-1]
         if corr is None:
-            corr = target.conj().T @ columns  # (S, G)
-        elif 0 < new_rank < s:
-            corr -= uy.conj().T @ (uh @ columns)
+            screen = _single_precision(columns) if screen is None else screen
+            corr = (target.conj().T / total).astype(np.complex64) @ screen  # (S, G)
+            err = _dot_error(m)
         elif new_rank:
-            corr -= (uy.conj().T @ uh) @ columns
-        scores = np.add.reduceat(np.sum(corr.real ** 2 + corr.imag ** 2, axis=0), partition.starts)
+            w = uy / total
+            w_norm = np.vdot(w, w).real ** 0.5  # bounds every column norm of w
+            if new_rank < s:
+                # np.dot: matmul is several times slower for an inner dimension of 1
+                corr -= np.dot(w.conj().T.astype(np.complex64), uh.astype(np.complex64) @ screen)
+                step = w_norm * (new_rank ** 0.5 * _dot_error(m) + _dot_error(new_rank))
+            else:
+                corr -= (w.conj().T @ uh).astype(np.complex64) @ screen
+                step = w_norm * _dot_error(m)
+            err = (err + step) * (1.0 + _U) + _U * r  # the subtraction rounds too
+        flat = corr.view(np.float32)
+        score = np.bincount(owner, np.einsum("ij,ij->j", flat, flat), partition.num_blocks)
+        slack = lengths * (2.0 * err * s ** 0.5 * r + s * err ** 2) + score_rounding * score
         if weights is not None:
-            scores *= weights
-        scores[~candidates] = -np.inf
-        block = int(np.argmax(scores))
+            score, slack = score * weights, slack * weights
+        upper, lower = score + slack, score - slack
+        excluded = ~candidates
+        upper[excluded] = lower[excluded] = -np.inf
+        near = upper >= lower.max() * (1.0 - _TIE)
+        block = int(np.argmax(near))
+        if np.count_nonzero(near) > 1:
+            picked = np.flatnonzero(near)
+            exact = residual.conj().T @ columns[:, np.flatnonzero(np.repeat(near, lengths))]
+            exact = np.add.reduceat(
+                np.sum(exact.real ** 2 + exact.imag ** 2, axis=0),
+                np.cumsum(lengths[picked]) - lengths[picked],
+            )
+            if weights is not None:
+                exact *= weights[picked]
+            block = int(picked[np.argmax(exact >= exact.max() * (1.0 - _TIE))])
 
         block_slice = partition.block_slice(block)
         new_cols = columns[:, block_slice]
@@ -246,13 +313,15 @@ def bsomp(
     Per iteration the score of block b is sum_k ||Phi_b^H r_k||^2 over the
     residuals of all K subcarriers; a single subcarrier reduces this to plain
     block OMP, and single-column blocks reduce it further to OMP. The argmax
-    block (ties to the lowest index, already selected blocks excluded) is
-    appended; the residual drops its projection onto the block's new
-    orthonormal directions, which keeps the relative residual
-    non-increasing, and the coefficients are the minimum-norm joint
+    block (scores within a relative 1e-12 tie to the lowest index, already
+    selected blocks excluded) is appended; the residual drops its projection
+    onto the block's new orthonormal directions, which keeps the relative
+    residual non-increasing, and the coefficients are the minimum-norm joint
     least-squares fit over the whole accumulated support. Stopping: block
-    budget reached, relative residual at or below cfg.residual_tolerance, or
-    the decay rule from ``si`` fires (the offending block is discarded).
+    budget reached, relative residual at or below cfg.residual_tolerance or
+    1e-12, or the decay rule from ``si`` fires (the offending block is
+    discarded). Blocks are scored through the measurement's cached
+    ``single_precision`` copy (see ``_greedy_blocks``).
 
     Returns dictionary-frame coefficients (measurement column scales undone)
     and the reconstruction A @ x per subcarrier.
@@ -279,6 +348,7 @@ def bsomp(
         phi, y, partition, cfg.max_blocks, cfg.residual_tolerance,
         weights=_temporal_weights(partition.num_blocks, si),
         decay_floor=si.decay_floor if si is not None else None,
+        screen=measurement.single_precision,
     )
     coefficients = np.zeros((y.shape[1], phi.shape[1]), dtype=np.complex128)
     coefficients[:, cols] = solution.T

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import ChannelRealization
-from .dictionaries import Dictionary
+from .dictionaries import Dictionary, _single_precision
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +71,26 @@ class MeasurementMatrix:
 
     ``column_scales`` records the original column norms when the columns were
     rescaled to unit norm; None means no renormalization was applied.
+    ``entries`` is made read-only in place, so the cached
+    ``single_precision`` copy can never go stale.
     """
 
     entries: np.ndarray
     dictionary: Dictionary
     pilot: PilotMatrix
     column_scales: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        e = np.asarray(self.entries)
+        e.flags.writeable = False
+        object.__setattr__(self, "entries", e)
+
+    @cached_property
+    def single_precision(self) -> np.ndarray:
+        """The entries in complex64, scaled to a largest column norm of 1
+        (read-only): the greedy block kernel's screen, built once per
+        matrix."""
+        return _single_precision(self.entries)
 
     @property
     def num_columns(self) -> int:

@@ -274,6 +274,21 @@ class TestDictionaryValidation:
         d = Dictionary(np.eye(2, dtype=complex), [-1.0, 1.0], [np.inf, 2.5], BlockPartition.uniform(2, 1))
         assert d.angles.dtype == d.distances.dtype == np.float64
 
+    def test_atoms_are_read_only_and_not_copied(self):
+        m = np.eye(2, dtype=complex)
+        d = Dictionary(m, [-1.0, 1.0], [np.inf, 2.5], BlockPartition.uniform(2, 1))
+        assert d.atoms is m
+        with pytest.raises(ValueError):
+            d.atoms[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            d.single_precision[0, 0] = 0.0
+
+    def test_single_precision_computed_once(self):
+        d = build_polar_dictionary(ArrayConfig(16, 30e9), r_min=0.05, block_length=2)
+        low = d.single_precision
+        assert low is d.single_precision and low.dtype == np.complex64
+        np.testing.assert_allclose(low, d.atoms, rtol=0, atol=2.0**-24)
+
 
 def test_export_metadata_csv(tmp_path):
     d = build_polar_dictionary(ArrayConfig(16, 30e9), r_min=0.05, block_length=2)

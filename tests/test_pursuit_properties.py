@@ -108,6 +108,30 @@ def test_bsomp_support_matches_reference_loop(lengths, k, max_blocks, seed):
     assert list(result.support_blocks) == block_somp_reference(mm.entries, y.T, partition, max_blocks)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=block_lengths,
+    k=st.integers(min_value=1, max_value=3),
+    max_blocks=st.integers(min_value=1, max_value=4),
+    exponent=st.floats(min_value=-150.0, max_value=150.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_bsomp_is_scale_equivariant(lengths, k, max_blocks, exponent, seed):
+    rng = np.random.default_rng(seed)
+    partition = BlockPartition.from_lengths(lengths)
+    dictionary = random_dictionary(rng, 32, partition.size, 1)
+    mm = measurement_matrix(make_pilot_matrix(24, 32, seed), dictionary)
+    y = rng.standard_normal((k, 24)) + 1j * rng.standard_normal((k, 24))
+    c = 10.0**exponent
+    cfg = RecoveryConfig(max_blocks, 0.0, partition)
+
+    base = bsomp(mm, Observation(y, 0.0, np.inf), cfg)
+    scaled = bsomp(mm, Observation(c * y, 0.0, np.inf), cfg)
+
+    assert scaled.support_blocks == base.support_blocks
+    assert np.linalg.norm(scaled.coefficients / c - base.coefficients) <= 1e-10 * np.linalg.norm(base.coefficients)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     lengths=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8),

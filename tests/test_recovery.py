@@ -178,6 +178,17 @@ class TestBsompInvariants:
         with pytest.warns(UserWarning):
             bsomp(mm, obs, RecoveryConfig(4, 0.0))
 
+    def test_stops_at_an_exact_fit(self):
+        # Q = 8 rows are spanned by two 4-column blocks; without the relative
+        # floor the loop went on picking blocks from rounding-noise scores
+        rng = np.random.default_rng(34)
+        mm = make_measurement(rng, q=8)
+        _, obs, _ = block_sparse_instance(rng, mm, 1, 10.0)
+        with pytest.warns(UserWarning):
+            result = bsomp(mm, obs, RecoveryConfig(4, 0.0))
+        assert result.support_blocks == (17, 25)
+        assert result.final_residual <= 1e-12
+
     def test_empty_partition_impossible_but_mismatch_rejected(self):
         rng = np.random.default_rng(35)
         mm = make_measurement(rng)

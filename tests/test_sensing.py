@@ -4,6 +4,7 @@ import pytest
 from bdcs import (
     ArrayConfig,
     ClusterSpec,
+    MeasurementMatrix,
     Observation,
     PilotMatrix,
     SubcarrierGrid,
@@ -183,3 +184,25 @@ class TestMeasurementMatrix:
         pilot = make_pilot_matrix(4, 12, seed=0)
         with pytest.raises(ValueError):
             measurement_matrix(pilot, d)
+
+    def test_entries_are_read_only(self):
+        d = build_angular_dictionary(ArrayConfig(8, 30e9), 2, 1)
+        mm = measurement_matrix(make_pilot_matrix(4, 8, seed=0), d)
+        with pytest.raises(ValueError):
+            mm.entries[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            mm.single_precision[0, 0] = 0.0
+
+    def test_entries_are_not_copied(self):
+        d = build_angular_dictionary(ArrayConfig(8, 30e9), 1, 1)
+        source = np.ones((4, 8), dtype=complex)
+        mm = MeasurementMatrix(source, d, make_pilot_matrix(4, 8, seed=0))
+        assert mm.entries is source and not source.flags.writeable
+
+    def test_single_precision_computed_once(self):
+        d = build_angular_dictionary(ArrayConfig(8, 30e9), 2, 1)
+        mm = measurement_matrix(make_pilot_matrix(4, 8, seed=0), d, renormalize=False)
+        low = mm.single_precision
+        assert low is mm.single_precision and low.dtype == np.complex64
+        largest = np.linalg.norm(mm.entries, axis=0).max()
+        np.testing.assert_allclose(low, mm.entries / largest, rtol=0, atol=2.0**-24)
