@@ -135,6 +135,14 @@ class ExperimentConfig:
                 )
         if len(self.snr_db) and not all(np.isfinite(s) or np.isposinf(s) for s in self.snr_db):
             raise ConfigurationError("snr_db entries must be finite or +inf")
+        if self.seed < 0:
+            raise ConfigurationError(f"config key 'seed': must be non-negative, got {self.seed}")
+        if self.channel.num_users < 1:
+            raise ConfigurationError("config key 'channel.num_users': must be at least 1")
+        if not (np.isfinite(self.pilot_fraction) and self.pilot_count >= 1):
+            raise ConfigurationError("config key 'pilot.fraction': must give at least one pilot")
+        if not (self.distances or self.rayleigh_fracs):
+            raise ConfigurationError("config key 'rayleigh_fracs': must not be empty without distances")
 
     @property
     def distance_grid(self) -> tuple:
@@ -149,7 +157,7 @@ class ExperimentConfig:
 
     @property
     def pilot_count(self) -> int:
-        return max(1, round(self.pilot_fraction * self.array.num_antennas))
+        return round(self.pilot_fraction * self.array.num_antennas)
 
     @classmethod
     def from_dict(cls, raw: Optional[Mapping]) -> "ExperimentConfig":
@@ -331,8 +339,8 @@ class Workbench:
             self.array, [cluster], self.grid, _child_seed(cfg.seed, 2, d_idx, trial, user)
         )
 
-    def estimate(self, method: str, obs, snr_db: float) -> np.ndarray:
-        tol = self.residual_tolerance(snr_db)
+    def estimate(self, method: str, obs) -> np.ndarray:
+        tol = self.residual_tolerance(obs.snr_db)
         blocks = self.cfg.recovery.max_blocks
         if method == "ls":
             return ls_estimate(self.pilot, obs)
@@ -367,7 +375,7 @@ class Workbench:
             obs = observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user))
             truth = channel.per_subcarrier_channels
             for m in cfg.methods:
-                per_user[m].append(nmse(self.estimate(m, obs, snr_db), truth))
+                per_user[m].append(nmse(self.estimate(m, obs), truth))
         return {m: float(np.mean(values)) for m, values in per_user.items()}
 
 
@@ -439,10 +447,10 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
             rx_angles.append(float(rng.uniform(-1, 1)))
         channel = MatrixChannel(synthesize_matrix_channel(cfg.array, rx_array, paths, rx_angles))
         f_opt = optimal_precoder(channel, pre.num_streams)
-        values = {"optimal": spectral_efficiency(channel, f_opt, snr_db, "optimal").spectral_efficiency}
+        values = {"optimal": spectral_efficiency(channel, f_opt, snr_db).spectral_efficiency}
         for name, dictionary in (("hybrid_angular", angular), ("hybrid_polar", polar)):
             pair = block_sparse_precoding(f_opt, dictionary, pre.num_rf_chains)
-            values[name] = spectral_efficiency(channel, pair, snr_db, name).spectral_efficiency
+            values[name] = spectral_efficiency(channel, pair, snr_db).spectral_efficiency
         return values
 
     labels = ("optimal", "hybrid_angular", "hybrid_polar")

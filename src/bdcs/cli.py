@@ -12,6 +12,7 @@ import yaml
 from .bench import (
     ExperimentConfig,
     Workbench,
+    _dictionaries,
     run_nmse_vs_distance,
     run_nmse_vs_snr,
     run_se_vs_snr,
@@ -85,12 +86,12 @@ def partition_cmd(config_path, seed, out, trials):
         cfg.array, bench.angular, cfg.distance_grid, part.eta,
         trials=cfg.trials if trials is not None else part.trials, seed=cfg.seed,
     )
-    result = partition_boundary(profile, k_max)
+    boundary = partition_boundary(profile, k_max)
     click.echo(f"measurement coherence mu={metrics.coherence:.4f} "
                f"mu_B={metrics.block_coherence:.4f} nu={metrics.sub_coherence:.4f}")
     click.echo(f"sparsity upper limit: {k_max} blocks "
                f"(block length {cfg.dictionary.block_length})")
-    click.echo(f"partition boundary: {result.boundary} m "
+    click.echo(f"partition boundary: {boundary} m "
                f"(grid {profile.distances[0]:.3g} .. {profile.distances[-1]:.3g} m, "
                f"eta={part.eta})")
     if cfg.output:
@@ -105,8 +106,7 @@ def partition_cmd(config_path, seed, out, trials):
 def dict_info(config_path, seed, out, trials, domain):
     """Dictionary sizes and coherence metrics for the configured array."""
     cfg = _load(config_path, seed, out, trials)
-    bench = Workbench(cfg)
-    angular, polar = bench.angular, bench.polar
+    angular, polar = _dictionaries(cfg)
     click.echo(f"array: N={cfg.array.num_antennas}, carrier={cfg.array.carrier_freq:.4g} Hz, "
                f"spacing={cfg.array.element_spacing:.6g} m")
     click.echo(f"angular dictionary: G={angular.num_atoms} "

@@ -110,7 +110,6 @@ class Dictionary:
     distances: np.ndarray
     partition: BlockPartition
     domain: str = "angular"
-    array: Optional[ArrayConfig] = None
 
     def __post_init__(self):
         a = np.asarray(self.atoms)
@@ -190,7 +189,7 @@ def build_angular_dictionary(
     partition = BlockPartition.uniform(g, block_length)
     angles = (2.0 * np.arange(g) - g + 1) / g
     atoms = steering_far(array, angles)
-    return Dictionary(atoms, angles, np.full(g, np.inf), partition, domain="angular", array=array)
+    return Dictionary(atoms, angles, np.full(g, np.inf), partition, domain="angular")
 
 
 def polar_ring_distances(array: ArrayConfig, beta: float, r_min: float, spatial_angle: float) -> np.ndarray:
@@ -254,7 +253,7 @@ def build_polar_dictionary(
         if rest:
             block_lengths.append(rest)
     partition = BlockPartition.from_lengths(block_lengths)
-    return Dictionary(atoms, angles, distances, partition, domain="polar", array=array)
+    return Dictionary(atoms, angles, distances, partition, domain="polar")
 
 
 def _as_matrix(dict_or_matrix: Union[Dictionary, np.ndarray]) -> np.ndarray:

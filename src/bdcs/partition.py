@@ -11,7 +11,7 @@ either by a known distance or by comparing residuals.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,30 +49,6 @@ class SparsityProfile:
             writer.writerow(["distance_m", "tap_count", "mean_tap_count", "eta"])
             for r, taps, mean in zip(self.distances, self.tap_counts, self.mean_taps):
                 writer.writerow([f"{r:.10g}", taps, f"{mean:.6f}", f"{self.eta:.6g}"])
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Boundary distance (0 = all outer, inf = all inner) and the sparsity
-    limit it was computed against."""
-
-    boundary: float
-    upper_limit: int
-    profile: Optional[SparsityProfile] = None
-
-    def __post_init__(self):
-        if self.boundary < 0:
-            raise ValueError("boundary must be non-negative (inf allowed)")
-        if self.upper_limit < 0:
-            raise ValueError("upper_limit must be non-negative")
-
-    def write_csv(self, path) -> None:
-        """One-row summary (boundary_m, upper_limit, eta)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["boundary_m", "upper_limit", "eta"])
-            eta = f"{self.profile.eta:.6g}" if self.profile is not None else ""
-            writer.writerow([f"{self.boundary:.10g}", self.upper_limit, eta])
 
 
 def sparsity_profile(
@@ -151,9 +127,11 @@ def sparsity_upper_limit(
     return max(k, 0)
 
 
-def partition_boundary(profile: SparsityProfile, upper_limit: int) -> PartitionResult:
-    """Smallest grid distance from which every farther tap count stays within
-    the recovery limit; 0 when the whole grid complies, inf when none does."""
+def partition_boundary(profile: SparsityProfile, upper_limit: int) -> float:
+    """Boundary between the inner and the outer region, in meters: the
+    smallest grid distance from which every farther tap count stays within
+    the recovery limit. Two sentinels: 0 when the whole grid complies (all
+    outer), inf when its farthest point does not (all inner)."""
     taps = np.asarray(profile.tap_counts)
     suffix_start = len(taps)
     for i in range(len(taps) - 1, -1, -1):
@@ -162,12 +140,10 @@ def partition_boundary(profile: SparsityProfile, upper_limit: int) -> PartitionR
         else:
             break
     if suffix_start == 0:
-        boundary = 0.0
-    elif suffix_start == len(taps):
-        boundary = float(np.inf)
-    else:
-        boundary = float(profile.distances[suffix_start])
-    return PartitionResult(boundary, upper_limit, profile)
+        return 0.0
+    if suffix_start == len(taps):
+        return float(np.inf)
+    return float(profile.distances[suffix_start])
 
 
 def complete_bdcs(
@@ -176,34 +152,35 @@ def complete_bdcs(
     polar_measurement: MeasurementMatrix,
     cfg: RecoveryConfig,
     routing: str = "by_residual",
-    boundary: Optional[PartitionResult] = None,
+    boundary: Optional[float] = None,
     distance: Optional[float] = None,
     si: Optional[SideInformation] = None,
 ) -> RecoveryResult:
     """Route recovery between the angular and polar domains.
 
-    by_distance: polar when ``distance`` falls inside the boundary, angular
-    otherwise (requires ``boundary`` and ``distance``). by_residual: run both
-    and keep the smaller final relative residual, ties going to the cheaper
-    angular domain. cfg.partition is treated as an angular-domain override
-    only; the polar run always uses the polar dictionary's own partition.
+    by_distance: polar when ``distance`` falls inside ``boundary`` (meters,
+    as partition_boundary returns it: 0 routes everything to the angular
+    domain, inf everything to the polar one), angular otherwise; it requires
+    both, and a negative or nan boundary raises ValueError. by_residual: run
+    both and keep the smaller final relative residual, ties going to the
+    cheaper angular domain. cfg.partition is treated as an angular-domain
+    override only; the polar run always uses the polar dictionary's own
+    partition.
     """
+    if boundary is not None and not boundary >= 0:  # also rejects nan
+        raise ValueError("boundary must be non-negative (inf allowed)")
+    polar_cfg = replace(cfg, partition=None)
     if routing == "by_distance":
         if boundary is None or distance is None:
             raise ConfigurationError("by_distance routing needs a boundary and a distance")
-        if distance < boundary.boundary:
-            return bsomp(polar_measurement, obs, _with_partition(cfg, None), si)
+        if distance < boundary:
+            return bsomp(polar_measurement, obs, polar_cfg, si)
         return bsomp(angular_measurement, obs, cfg, si)
     if routing == "by_residual":
         angular = bsomp(angular_measurement, obs, cfg, si)
-        polar = bsomp(polar_measurement, obs, _with_partition(cfg, None), si)
+        polar = bsomp(polar_measurement, obs, polar_cfg, si)
         if polar.final_residual < angular.final_residual:
             return polar
         return angular
     raise ConfigurationError(f"unknown routing mode: {routing!r}")
 
-
-def _with_partition(cfg: RecoveryConfig, partition) -> RecoveryConfig:
-    if cfg.partition is None and partition is None:
-        return cfg
-    return RecoveryConfig(cfg.max_blocks, cfg.residual_tolerance, partition)

@@ -77,11 +77,9 @@ class PrecoderPair:
 
 @dataclass(frozen=True)
 class SEReport:
-    """Spectral efficiency of one precoder at one SNR."""
+    """Spectral efficiency of one precoder, in bits/s/Hz."""
 
     spectral_efficiency: float
-    snr_db: float
-    precoder_type: str
 
     def __post_init__(self):
         if self.spectral_efficiency < 0:
@@ -125,11 +123,15 @@ def block_sparse_precoding(
     tol = cfg.residual_tolerance if cfg is not None else 1e-10
     max_blocks = cfg.max_blocks if cfg is not None else partition.num_blocks
     target_mod = 1.0 / np.sqrt(n_t)
-    _, _, f_rf, f_bb, _ = _greedy_blocks(
-        dictionary.atoms, f_opt, partition, max_blocks, tol,
-        column_map=lambda cols: target_mod * np.exp(1j * np.angle(cols)),
+
+    def phase_projection(cols):
+        return target_mod * np.exp(1j * np.angle(cols))
+
+    _, cols, f_bb, _ = _greedy_blocks(
+        dictionary.atoms, f_opt, partition, max_blocks, tol, column_map=phase_projection,
         max_columns=num_rf_chains, screen=dictionary.single_precision,
     )
+    f_rf = phase_projection(dictionary.atoms[:, cols])
 
     combined_norm = float(np.linalg.norm(f_rf @ f_bb))
     if combined_norm == 0.0:
@@ -142,7 +144,6 @@ def spectral_efficiency(
     channel: MatrixChannel,
     precoder: Union[np.ndarray, PrecoderPair],
     snr_db: float,
-    precoder_type: str = "precoder",
 ) -> SEReport:
     """log2 det(I + rho/N_s * H F F^H H^H) with equal power per stream."""
     f = precoder.combined if isinstance(precoder, PrecoderPair) else np.asarray(precoder)
@@ -153,4 +154,4 @@ def spectral_efficiency(
     effective = channel.matrix @ f  # (N_r, N_s)
     m = np.eye(channel.num_rx, dtype=np.complex128) + (rho / n_s) * (effective @ effective.conj().T)
     _, logdet = np.linalg.slogdet(m)
-    return SEReport(max(float(logdet) / np.log(2.0), 0.0), snr_db, precoder_type)
+    return SEReport(max(float(logdet) / np.log(2.0), 0.0))

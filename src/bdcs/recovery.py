@@ -187,8 +187,8 @@ def _greedy_blocks(
     its coefficient energy falls below ``decay_floor`` times the first
     block's.
 
-    Returns (selected blocks, their column indices, basis (M, C),
-    coefficients (C, S), relative residual history starting at 1.0).
+    Returns (selected blocks, their column indices, coefficients (C, S),
+    relative residual history starting at 1.0).
     """
     m, s = target.shape
     lengths = partition.lengths
@@ -208,7 +208,6 @@ def _greedy_blocks(
     stop = max(tolerance, _NOISE_FLOOR)
     selected: list = []
     cols: list = []
-    blocks: list = []
     history = [1.0]
     residual = target
     corr = None
@@ -290,16 +289,14 @@ def _greedy_blocks(
         selected.append(block)
         candidates[block] = False
         cols.extend(range(*block_slice.indices(columns.shape[1])))
-        blocks.append(new_cols)
         used += new_cols.shape[1]
         new_rank = rank - start
         uh, uy = qh[start:rank], qy[start:rank]
         residual = residual - q[:, start:rank] @ uy
         history.append(float(np.linalg.norm(residual)) / total)
 
-    basis = np.concatenate(blocks, axis=1) if blocks else columns[:, :0]
     coef = _support_coefficients(t, qy, rank, used)
-    return selected, cols, basis, coef, history
+    return selected, cols, coef, history
 
 
 def bsomp(
@@ -327,8 +324,6 @@ def bsomp(
     and the reconstruction A @ x per subcarrier.
     """
     partition = cfg.partition if cfg.partition is not None else measurement.dictionary.partition
-    if partition is None or partition.num_blocks == 0:
-        raise ConfigurationError("a block partition is required")
     phi = measurement.entries
     if partition.size != phi.shape[1]:
         raise ConfigurationError("partition must cover the measurement columns")
@@ -344,16 +339,14 @@ def bsomp(
 
     y = obs.per_subcarrier.T  # (Q, K)
     dictionary = measurement.dictionary
-    selected, cols, _, solution, history = _greedy_blocks(
+    selected, cols, solution, history = _greedy_blocks(
         phi, y, partition, cfg.max_blocks, cfg.residual_tolerance,
         weights=_temporal_weights(partition.num_blocks, si),
         decay_floor=si.decay_floor if si is not None else None,
         screen=measurement.single_precision,
     )
     coefficients = np.zeros((y.shape[1], phi.shape[1]), dtype=np.complex128)
-    coefficients[:, cols] = solution.T
-    if measurement.column_scales is not None:
-        coefficients = coefficients / measurement.column_scales[None, :]
+    coefficients[:, cols] = solution.T / measurement.column_scales[cols]
     result = RecoveryResult(tuple(selected), coefficients, None, tuple(history), domain=dictionary.domain)
     return replace(result, reconstructed_channels=reconstruct(dictionary, result))
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -67,18 +66,20 @@ class Observation:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """Product of pilot and dictionary, Q x G.
+    """Product of pilot and dictionary with its columns rescaled to unit
+    norm, Q x G.
 
-    ``column_scales`` records the original column norms when the columns were
-    rescaled to unit norm; None means no renormalization was applied.
-    ``entries`` is made read-only in place, so the cached
-    ``single_precision`` copy can never go stale.
+    ``column_scales`` (length G) holds the norms the columns of P A had
+    before rescaling, 1 for an all-zero column; recovery divides by them to
+    report coefficients in the dictionary frame. ``entries`` is made
+    read-only in place, so the cached ``single_precision`` copy can never
+    go stale.
     """
 
     entries: np.ndarray
     dictionary: Dictionary
     pilot: PilotMatrix
-    column_scales: Optional[np.ndarray] = None
+    column_scales: np.ndarray
 
     def __post_init__(self):
         e = np.asarray(self.entries)
@@ -106,21 +107,13 @@ def make_pilot_matrix(pilot_count: int, num_antennas: int, seed: int) -> PilotMa
     return PilotMatrix(np.exp(1j * phases) / np.sqrt(pilot_count))
 
 
-def observe(
-    pilot: PilotMatrix,
-    channel: ChannelRealization,
-    snr_db: float,
-    seed: int,
-    noise_variance: Optional[float] = None,
-) -> Observation:
+def observe(pilot: PilotMatrix, channel: ChannelRealization, snr_db: float, seed: int) -> Observation:
     """Compress the channel through the pilot and add complex Gaussian noise.
 
     y_k = P h_k + n_k with n_k ~ CN(0, sigma^2 I). sigma^2 is set so the
     average received sample power over all subcarriers divided by sigma^2
     equals the linear SNR; snr_db = +inf disables noise, and -inf or nan
-    raise ValueError. Passing ``noise_variance`` pins sigma^2 directly
-    (snr_db is then only recorded), which keeps zero-channel noise floors
-    testable.
+    raise ValueError.
     """
     if not (np.isfinite(snr_db) or snr_db == np.inf):
         raise ValueError("snr_db must be finite or +inf")
@@ -129,11 +122,7 @@ def observe(
         raise ValueError("pilot width must equal the channel length")
     noiseless = h @ pilot.entries.T  # (K, Q)
 
-    if noise_variance is not None:
-        if noise_variance < 0:
-            raise ValueError("noise_variance must be non-negative")
-        sigma2 = float(noise_variance)
-    elif np.isinf(snr_db):
+    if np.isinf(snr_db):
         sigma2 = 0.0
     else:
         signal_power = float(np.mean(np.abs(noiseless) ** 2))
@@ -150,10 +139,8 @@ def observe(
     return Observation(received, sigma2, snr_db)
 
 
-def measurement_matrix(
-    pilot: PilotMatrix, dictionary: Dictionary, renormalize: bool = True
-) -> MeasurementMatrix:
-    """Phi = P A, optionally with columns rescaled to unit norm.
+def measurement_matrix(pilot: PilotMatrix, dictionary: Dictionary) -> MeasurementMatrix:
+    """Phi = P A with columns rescaled to unit norm.
 
     Renormalization keeps greedy column selection unbiased; the recorded
     scales let recovery report coefficients in the dictionary frame.
@@ -161,8 +148,6 @@ def measurement_matrix(
     if pilot.num_antennas != dictionary.num_antennas:
         raise ValueError("pilot width must equal the dictionary atom length")
     product = pilot.entries @ dictionary.atoms
-    if not renormalize:
-        return MeasurementMatrix(product, dictionary, pilot, None)
     scales = np.linalg.norm(product, axis=0)
     safe = np.where(scales > 0, scales, 1.0)
     return MeasurementMatrix(product / safe, dictionary, pilot, safe)

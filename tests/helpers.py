@@ -61,9 +61,7 @@ def block_somp_reference(matrix, y, partition, max_blocks):
     support, cols = [], []
     for _ in range(min(max_blocks, partition.num_blocks)):
         corr = matrix.conj().T @ residual  # (G, K)
-        scores = np.array([
-            np.sum(np.abs(corr[partition.block_slice(b)]) ** 2) for b in range(partition.num_blocks)
-        ])
+        scores = np.add.reduceat(np.sum(np.abs(corr) ** 2, axis=1), partition.starts)
         scores[support] = -np.inf
         block = int(np.argmax(scores))
         support.append(block)

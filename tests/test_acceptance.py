@@ -290,8 +290,8 @@ def test_criterion_10_partition_sanity():
 
     below = SparsityProfile((1.0, 2.0, 3.0), (2, 2, 1), (2.0, 2.0, 1.0), 0.95)
     above = SparsityProfile((1.0, 2.0, 3.0), (9, 8, 7), (9.0, 8.0, 7.0), 0.95)
-    r_below = partition_boundary(below, 3).boundary
-    r_above = partition_boundary(above, 3).boundary
+    r_below = partition_boundary(below, 3)
+    r_above = partition_boundary(above, 3)
 
     report(
         10,

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import yaml
 import bdcs
 from bdcs import ConfigurationError
 from bdcs.bench import (
+    ChannelSettings,
     ExperimentConfig,
     run_nmse_vs_distance,
     run_nmse_vs_snr,
@@ -95,6 +97,26 @@ class TestConfig:
     def test_numeric_field_refuses_booleans(self, raw, key):
         with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, changes, key",
+        [
+            ({"pilot": {"fraction": -0.5}}, {"pilot_fraction": -0.5}, "pilot.fraction"),
+            ({"pilot": {"fraction": 0.0}}, {"pilot_fraction": 0.0}, "pilot.fraction"),
+            # 0.256 of a pilot rounds to none
+            ({"pilot": {"fraction": 0.001}}, {"pilot_fraction": 0.001}, "pilot.fraction"),
+            ({"pilot": {"fraction": float("nan")}}, {"pilot_fraction": float("nan")}, "pilot.fraction"),
+            ({"channel": {"num_users": 0}}, {"channel": ChannelSettings(num_users=0)}, "channel.num_users"),
+            ({"seed": -1}, {"seed": -1}, "seed"),
+            ({"rayleigh_fracs": []}, {"rayleigh_fracs": ()}, "rayleigh_fracs"),
+        ],
+    )
+    def test_bad_value_refused_before_compute(self, raw, changes, key):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ExperimentConfig.from_dict(raw)
+        # the CLI applies its overrides with dataclasses.replace
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            replace(ExperimentConfig(), **changes)
 
     def test_renamed_and_folded_keys(self):
         cfg = ExperimentConfig.from_dict({

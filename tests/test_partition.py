@@ -9,7 +9,6 @@ from bdcs import (
     ConfigurationError,
     DictionaryMetrics,
     Observation,
-    PartitionResult,
     RecoveryConfig,
     SparsityProfile,
     bsomp,
@@ -118,31 +117,21 @@ class TestPartitionBoundary:
         return SparsityProfile(distances, tuple(taps), tuple(float(t) for t in taps), 0.95)
 
     def test_all_below_gives_zero(self):
-        result = partition_boundary(self.make_profile([2, 2, 1]), upper_limit=3)
-        assert result.boundary == 0.0
+        assert partition_boundary(self.make_profile([2, 2, 1]), upper_limit=3) == 0.0
 
     def test_all_above_gives_inf(self):
-        result = partition_boundary(self.make_profile([9, 8, 7]), upper_limit=3)
-        assert np.isinf(result.boundary)
+        assert np.isinf(partition_boundary(self.make_profile([9, 8, 7]), upper_limit=3))
 
     def test_single_crossing(self):
-        result = partition_boundary(self.make_profile([9, 7, 4, 2, 1]), upper_limit=3)
-        assert result.boundary == 4.0
+        assert partition_boundary(self.make_profile([9, 7, 4, 2, 1]), upper_limit=3) == 4.0
 
     def test_csv_exports(self, tmp_path):
         profile = self.make_profile([5, 3, 1])
-        result = partition_boundary(profile, upper_limit=3)
         ppath = tmp_path / "profile.csv"
         profile.write_csv(ppath)
         lines = ppath.read_text().splitlines()
         assert lines[0] == "distance_m,tap_count,mean_tap_count,eta"
         assert len(lines) == 4
-        bpath = tmp_path / "boundary.csv"
-        result.write_csv(bpath)
-        assert bpath.read_text().splitlines() == [
-            "boundary_m,upper_limit,eta",
-            "2,3,0.95",
-        ]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -153,8 +142,8 @@ class TestPartitionBoundary:
     def test_monotone_in_upper_limit(self, taps, k1, k2):
         lo, hi = min(k1, k2), max(k1, k2)
         profile = self.make_profile(taps)
-        r_lo = partition_boundary(profile, lo).boundary
-        r_hi = partition_boundary(profile, hi).boundary
+        r_lo = partition_boundary(profile, lo)
+        r_hi = partition_boundary(profile, hi)
         assert r_hi <= r_lo
 
 
@@ -178,10 +167,9 @@ class TestCompleteBdcs:
 
     def test_by_distance_routes_outer_to_angular(self):
         obs, _ = self.polar_grid_observation()
-        boundary = PartitionResult(10.0, 2)
         routed = complete_bdcs(
             obs, self.mm_ang, self.mm_pol, self.cfg,
-            routing="by_distance", boundary=boundary, distance=50.0,
+            routing="by_distance", boundary=10.0, distance=50.0,
         )
         direct = bsomp(self.mm_ang, obs, self.cfg)
         assert routed.domain == "angular"
@@ -190,10 +178,9 @@ class TestCompleteBdcs:
 
     def test_by_distance_inf_boundary_always_polar(self):
         obs, _ = self.polar_grid_observation()
-        boundary = PartitionResult(np.inf, 0)
         routed = complete_bdcs(
             obs, self.mm_ang, self.mm_pol, self.cfg,
-            routing="by_distance", boundary=boundary, distance=1e9,
+            routing="by_distance", boundary=np.inf, distance=1e9,
         )
         assert routed.domain == "polar"
 
@@ -205,6 +192,15 @@ class TestCompleteBdcs:
         assert result.support_blocks == polar_direct.support_blocks
         assert result.final_residual < 1e-8
         assert np.linalg.norm(result.reconstructed_channels[0] - h) < 1e-6
+
+    @pytest.mark.parametrize("boundary", [-1.0, np.nan])
+    def test_by_distance_rejects_negative_or_nan_boundary(self, boundary):
+        obs, _ = self.polar_grid_observation()
+        with pytest.raises(ValueError, match="boundary"):
+            complete_bdcs(
+                obs, self.mm_ang, self.mm_pol, self.cfg,
+                routing="by_distance", boundary=boundary, distance=5.0,
+            )
 
     def test_by_distance_requires_inputs(self):
         obs, _ = self.polar_grid_observation()

@@ -93,8 +93,8 @@ class TestBlockSparsePrecoding:
         channel = MatrixChannel(synthesize_matrix_channel(tx, rx, params, rx_angles))
         f_opt = optimal_precoder(channel, 2)
         pair = block_sparse_precoding(f_opt, d, 4)
-        se_opt = spectral_efficiency(channel, f_opt, 0.0, "optimal").spectral_efficiency
-        se_hyb = spectral_efficiency(channel, pair, 0.0, "hybrid").spectral_efficiency
+        se_opt = spectral_efficiency(channel, f_opt, 0.0).spectral_efficiency
+        se_hyb = spectral_efficiency(channel, pair, 0.0).spectral_efficiency
         assert se_hyb >= 0.98 * se_opt
 
     def test_full_chain_budget_small_residual(self):

@@ -174,7 +174,8 @@ def test_kernel_matches_lstsq_refit_reference(
         max_columns=max_columns,
     )
 
-    sel, cols, basis, coef, history = _greedy_blocks(columns, target, partition, max_blocks, tolerance, **kwargs)
+    sel, cols, coef, history = _greedy_blocks(columns, target, partition, max_blocks, tolerance, **kwargs)
+    basis = columns[:, cols] if kwargs["column_map"] is None else kwargs["column_map"](columns[:, cols])
     ref_sel, ref_cols, ref_basis, ref_coef, ref_history = greedy_blocks_reference(
         columns, target, partition, max_blocks, tolerance, **kwargs
     )

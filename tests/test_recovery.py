@@ -21,10 +21,10 @@ from bdcs.recovery import _temporal_weights
 from helpers import block_sparse_instance, omp_reference, random_dictionary
 
 
-def make_measurement(rng, n=64, g=128, lb=4, q=32, seed=7, renormalize=True):
+def make_measurement(rng, n=64, g=128, lb=4, q=32, seed=7):
     d = random_dictionary(rng, n, g, lb)
     pilot = make_pilot_matrix(q, n, seed)
-    return measurement_matrix(pilot, d, renormalize=renormalize)
+    return measurement_matrix(pilot, d)
 
 
 class TestLsEstimate:
@@ -217,7 +217,7 @@ class TestSideInformationMechanisms:
 
     def test_decay_rule_discards_weak_block(self):
         rng = np.random.default_rng(42)
-        mm = make_measurement(rng, renormalize=False)
+        mm = make_measurement(rng)
         partition = mm.dictionary.partition
         g = mm.num_columns
         x = np.zeros((1, g), complex)
@@ -230,7 +230,7 @@ class TestSideInformationMechanisms:
 
     def test_decay_rule_keeps_comparable_blocks(self):
         rng = np.random.default_rng(43)
-        mm = make_measurement(rng, renormalize=False)
+        mm = make_measurement(rng)
         partition = mm.dictionary.partition
         g = mm.num_columns
         x = np.zeros((1, g), complex)
