@@ -121,7 +121,6 @@ class ExperimentConfig:
     side_information: SideInfoSettings = field(default_factory=SideInfoSettings)
     precoding: PrecodingSettings = field(default_factory=PrecodingSettings)
     partition: PartitionSettings = field(default_factory=PartitionSettings)
-    output: Optional[str] = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -143,6 +142,10 @@ class ExperimentConfig:
             raise ConfigurationError("config key 'pilot.fraction': must give at least one pilot")
         if not (self.distances or self.rayleigh_fracs):
             raise ConfigurationError("config key 'rayleigh_fracs': must not be empty without distances")
+        if self.recovery.max_blocks < 1:
+            raise ConfigurationError("config key 'recovery.max_blocks': must be at least 1")
+        if self.recovery.residual_tolerance is not None and not self.recovery.residual_tolerance >= 0:
+            raise ConfigurationError("config key 'recovery.residual_tolerance': must be non-negative or null")
 
     @property
     def distance_grid(self) -> tuple:
@@ -174,7 +177,7 @@ class ExperimentConfig:
           distances:  explicit list of meters   (overrides rayleigh_fracs)
           rayleigh_fracs: list of fractions of the Rayleigh distance
           methods:    subset of ls|somp_polar|bsomp_angular|bsomp_polar|complete_bdcs
-          trials, seed, output
+          trials, seed
           dictionary: oversampling, block_length, beta, r_min_m
           recovery:   max_blocks, residual_tolerance (null = SNR-matched)
           side_information: decay_floor
@@ -288,13 +291,18 @@ def _child_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(tuple(int(k) for k in keys)).generate_state(1)[0])
 
 
-def _dictionaries(cfg: ExperimentConfig):
-    """The angular and polar dictionaries of a config."""
+def _pilot(cfg: ExperimentConfig):
+    return make_pilot_matrix(cfg.pilot_count, cfg.array.num_antennas, _child_seed(cfg.seed, 0))
+
+
+def _angular_dictionary(cfg: ExperimentConfig):
     d = cfg.dictionary
-    return (
-        build_angular_dictionary(cfg.array, d.oversampling, d.block_length),
-        build_polar_dictionary(cfg.array, d.beta, d.r_min, d.block_length),
-    )
+    return build_angular_dictionary(cfg.array, d.oversampling, d.block_length)
+
+
+def _polar_dictionary(cfg: ExperimentConfig):
+    d = cfg.dictionary
+    return build_polar_dictionary(cfg.array, d.beta, d.r_min, d.block_length)
 
 
 class Workbench:
@@ -305,13 +313,12 @@ class Workbench:
         self.cfg = cfg
         self.array = cfg.array
         self.grid = SubcarrierGrid(cfg.subcarrier_count, cfg.array.carrier_freq, cfg.subcarrier_spacing)
-        self.pilot = make_pilot_matrix(cfg.pilot_count, cfg.array.num_antennas, _child_seed(cfg.seed, 0))
-        self.angular, self.polar = _dictionaries(cfg)
+        self.pilot = _pilot(cfg)
+        self.angular, self.polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
         self.mm_angular = measurement_matrix(self.pilot, self.angular)
         self.mm_polar = measurement_matrix(self.pilot, self.polar)
         self.polar_atom_partition = BlockPartition.uniform(self.polar.num_atoms, 1)
-        decay_floor = cfg.side_information.decay_floor
-        self.si = SideInformation(decay_floor=decay_floor) if decay_floor is not None else None
+        self.si = SideInformation(decay_floor=cfg.side_information.decay_floor)
 
     def residual_tolerance(self, snr_db: float) -> float:
         tol = self.cfg.recovery.residual_tolerance
@@ -401,14 +408,14 @@ def _sweep(cfg: ExperimentConfig, xs, labels, trial_values, out_path) -> list:
 def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """NMSE of every configured method across the distance grid, at the first
     configured SNR (the default SNR when the list is empty). Writes CSV when
-    a path is given (argument or config)."""
+    a path is given."""
     snr_db = (cfg.snr_db or ExperimentConfig.snr_db)[0]
     grid = cfg.distance_grid
     bench = Workbench(cfg)
     return _sweep(
         cfg, grid, cfg.methods,
         lambda d_idx, distance, trial: bench.nmse_trial(d_idx, trial, distance, snr_db),
-        out_path or cfg.output,
+        out_path,
     )
 
 
@@ -421,7 +428,7 @@ def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> li
     return _sweep(
         cfg, cfg.snr_db, cfg.methods,
         lambda s_idx, snr_db, trial: bench.nmse_trial(s_idx, trial, distance, snr_db),
-        out_path or cfg.output,
+        out_path,
     )
 
 
@@ -433,7 +440,7 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
         raise ConfigurationError("snr_db must not be empty for an SNR sweep")
     pre = cfg.precoding
     distance = cfg.distance_grid[0]
-    angular, polar = _dictionaries(cfg)
+    angular, polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
     rx_array = ArrayConfig(pre.num_rx_antennas, cfg.array.carrier_freq)
 
     def trial_values(s_idx, snr_db, trial):
@@ -454,4 +461,4 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
         return values
 
     labels = ("optimal", "hybrid_angular", "hybrid_polar")
-    return _sweep(cfg, cfg.snr_db, labels, trial_values, out_path or cfg.output)
+    return _sweep(cfg, cfg.snr_db, labels, trial_values, out_path)

@@ -138,19 +138,17 @@ class SubcarrierGrid:
 class ChannelRealization:
     """Ground-truth channel: per-subcarrier vectors plus the paths that built them.
 
-    ``per_subcarrier_channels`` has shape (K, N). The stored gain of path l is
-    its base gain; on subcarrier k it is rotated by
-    exp(-j 2 pi (f_k - f_center) * distance / c).
+    ``per_subcarrier_channels`` has shape (K, N); ``observe`` checks N against
+    the pilot. The stored gain of path l is its base gain; on subcarrier k it
+    is rotated by exp(-j 2 pi (f_k - f_center) * distance / c).
     """
 
     per_subcarrier_channels: np.ndarray
     paths: tuple
-    array: ArrayConfig
-    grid: SubcarrierGrid
 
     def __post_init__(self):
         h = np.asarray(self.per_subcarrier_channels)
-        if h.ndim != 2 or h.shape[1] != self.array.num_antennas:
+        if h.ndim != 2:
             raise ValueError("channel matrix must have shape (K, num_antennas)")
         if not np.all(np.isfinite(h.view(float))):
             raise ValueError("channel entries must be finite")
@@ -269,7 +267,7 @@ def synthesize_channel(
         vec = steering_near(array, path.distance, path.spatial_angle)
         rot = np.exp(-2j * np.pi * offsets_hz * path.distance / SPEED_OF_LIGHT)
         h += scale * path.complex_gain * rot[:, None] * vec[None, :]
-    return ChannelRealization(h, tuple(paths), array, grid)
+    return ChannelRealization(h, tuple(paths))
 
 
 def synthesize_matrix_channel(

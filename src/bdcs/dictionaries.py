@@ -20,7 +20,7 @@ import csv
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -35,22 +35,23 @@ DEFAULT_POLAR_R_MIN = 5.0
 """Closest polar ring kept in the grid, meters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPartition:
-    """Ordered, contiguous, disjoint cover of column indices [0, G)."""
+    """Ordered, contiguous, disjoint cover of columns [0, G), held as its
+    block lengths: a read-only 1-D intp array of integers at least 1
+    (booleans and floats are refused). ``starts`` derives from it."""
 
-    blocks: tuple
+    lengths: np.ndarray
 
     def __post_init__(self):
-        if len(self.blocks) == 0:
-            raise ConfigurationError("partition must contain at least one block")
-        cursor = 0
-        for start, length in self.blocks:
-            if start != cursor or length < 1:
-                raise ConfigurationError("blocks must be contiguous, disjoint, and non-empty")
-            cursor += length
-        object.__setattr__(self, "_starts", np.array([s for s, _ in self.blocks], dtype=np.intp))
-        object.__setattr__(self, "_lengths", np.array([l for _, l in self.blocks], dtype=np.intp))
+        lengths = np.asarray(self.lengths)
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.dtype.kind not in "iu":
+            raise ConfigurationError("block lengths must be a non-empty 1-D sequence of integers")
+        if not np.all(lengths >= 1):
+            raise ConfigurationError("block lengths must be at least 1")
+        lengths = lengths.astype(np.intp)
+        lengths.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
 
     @classmethod
     def uniform(cls, total: int, block_length: int) -> "BlockPartition":
@@ -58,41 +59,33 @@ class BlockPartition:
             raise ConfigurationError(
                 f"block_length {block_length} must divide the column count {total}"
             )
-        return cls(tuple((s, block_length) for s in range(0, total, block_length)))
-
-    @classmethod
-    def from_lengths(cls, lengths: Sequence[int]) -> "BlockPartition":
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        return cls(tuple((int(s), int(l)) for s, l in zip(starts, lengths)))
+        return cls(np.full(total // block_length, block_length))
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.lengths)
 
     @property
     def size(self) -> int:
-        start, length = self.blocks[-1]
-        return start + length
+        return int(self.lengths.sum())
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
-        return self._starts  # type: ignore[attr-defined]
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self._lengths  # type: ignore[attr-defined]
+        """First column of each block (read-only)."""
+        starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
+        starts.flags.writeable = False
+        return starts
 
     @property
     def uniform_length(self) -> Optional[int]:
         """Common block length, or None when blocks vary in size."""
-        lengths = self.lengths
-        if np.all(lengths == lengths[0]):
-            return int(lengths[0])
+        if np.all(self.lengths == self.lengths[0]):
+            return int(self.lengths[0])
         return None
 
     def block_slice(self, block_index: int) -> slice:
-        start, length = self.blocks[block_index]
-        return slice(start, start + length)
+        start = int(self.starts[block_index])
+        return slice(start, start + int(self.lengths[block_index]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +245,12 @@ def build_polar_dictionary(
         block_lengths.extend([block_length] * full)
         if rest:
             block_lengths.append(rest)
-    partition = BlockPartition.from_lengths(block_lengths)
-    return Dictionary(atoms, angles, distances, partition, domain="polar")
+    return Dictionary(atoms, angles, distances, BlockPartition(block_lengths), domain="polar")
 
 
-def _as_matrix(dict_or_matrix: Union[Dictionary, np.ndarray]) -> np.ndarray:
-    if isinstance(dict_or_matrix, Dictionary):
-        return dict_or_matrix.atoms
-    return np.asarray(dict_or_matrix)
-
-
-def coherence(dict_or_matrix: Union[Dictionary, np.ndarray]) -> float:
-    """Mutual coherence: max |<a_i, a_j>| over distinct unit-norm columns."""
-    a = _as_matrix(dict_or_matrix)
+def coherence(matrix: np.ndarray) -> float:
+    """Mutual coherence of a matrix: max |<a_i, a_j>| over distinct unit-norm columns."""
+    a = np.asarray(matrix)
     if a.shape[1] < 2:
         raise ValueError("coherence needs at least two columns")
     gram = np.abs(a.conj().T @ a)
@@ -272,21 +258,14 @@ def coherence(dict_or_matrix: Union[Dictionary, np.ndarray]) -> float:
     return float(gram.max())
 
 
-def block_metrics(
-    dict_or_matrix: Union[Dictionary, np.ndarray],
-    partition: Optional[BlockPartition] = None,
-) -> DictionaryMetrics:
-    """Coherence, block coherence, and sub-coherence under a uniform partition.
+def block_metrics(matrix: np.ndarray, partition: BlockPartition) -> DictionaryMetrics:
+    """Coherence, block coherence and sub-coherence of a matrix under a uniform partition.
 
     mu_B is the max over distinct block pairs (b, c) of the spectral norm of
     A_b^H A_c divided by the block length; nu is the max off-diagonal
     coherence inside any single block. Requires equal-sized blocks.
     """
-    a = _as_matrix(dict_or_matrix)
-    if partition is None:
-        if not isinstance(dict_or_matrix, Dictionary):
-            raise ConfigurationError("a partition is required for raw matrices")
-        partition = dict_or_matrix.partition
+    a = np.asarray(matrix)
     length = partition.uniform_length
     if length is None:
         raise ConfigurationError("block metrics require a uniform block length")
@@ -294,8 +273,7 @@ def block_metrics(
         raise ConfigurationError("partition must cover the columns exactly")
 
     gram = a.conj().T @ a
-    abs_gram = np.abs(gram)
-    off = abs_gram.copy()
+    off = np.abs(gram)
     np.fill_diagonal(off, 0.0)
     mu = float(off.max()) if a.shape[1] > 1 else 0.0
 

@@ -11,7 +11,7 @@ either by a known distance or by comparing residuals.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,14 +25,13 @@ from .sensing import MeasurementMatrix, Observation
 
 @dataclass(frozen=True)
 class SparsityProfile:
-    """Blocks needed to capture an energy fraction eta, per distance.
+    """Mean blocks needed to capture an energy fraction eta, per distance.
 
-    tap_counts are conservative integers (ceil of the trial mean); mean_taps
-    keeps the raw means for trend checks.
+    tap_counts derives the conservative integers from mean_taps: the ceiling
+    of each mean, less 1e-9 against rounding noise.
     """
 
     distances: tuple
-    tap_counts: tuple
     mean_taps: tuple
     eta: float
 
@@ -42,6 +41,10 @@ class SparsityProfile:
             raise ValueError("distances must be non-empty and strictly increasing")
         if any(t < 1 for t in self.tap_counts):
             raise ValueError("tap_counts must be at least 1")
+
+    @property
+    def tap_counts(self) -> tuple:
+        return tuple(int(np.ceil(mean - 1e-9)) for mean in self.mean_taps)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -69,8 +72,6 @@ def sparsity_profile(
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     distances = sorted(float(r) for r in distance_grid)
-    if len(distances) == 0:
-        raise ValueError("distance_grid must not be empty")
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
@@ -80,7 +81,6 @@ def sparsity_profile(
     scale = np.sqrt(array.num_antennas)
 
     means = []
-    counts = []
     for r in distances:
         needed = np.empty(trials)
         for t in range(trials):
@@ -91,10 +91,8 @@ def sparsity_profile(
             order = np.sort(block_energy)[::-1]
             cum = np.cumsum(order)
             needed[t] = np.searchsorted(cum, eta * cum[-1]) + 1
-        mean = float(needed.mean())
-        means.append(mean)
-        counts.append(int(np.ceil(mean - 1e-9)))
-    return SparsityProfile(tuple(distances), tuple(counts), tuple(means), eta)
+        means.append(float(needed.mean()))
+    return SparsityProfile(tuple(distances), tuple(means), eta)
 
 
 def sparsity_upper_limit(
@@ -163,22 +161,20 @@ def complete_bdcs(
     domain, inf everything to the polar one), angular otherwise; it requires
     both, and a negative or nan boundary raises ValueError. by_residual: run
     both and keep the smaller final relative residual, ties going to the
-    cheaper angular domain. cfg.partition is treated as an angular-domain
-    override only; the polar run always uses the polar dictionary's own
-    partition.
+    cheaper angular domain. Both pursuits run with ``cfg``; a cfg.partition
+    that does not cover a domain's measurement columns is refused by bsomp.
     """
     if boundary is not None and not boundary >= 0:  # also rejects nan
         raise ValueError("boundary must be non-negative (inf allowed)")
-    polar_cfg = replace(cfg, partition=None)
     if routing == "by_distance":
         if boundary is None or distance is None:
             raise ConfigurationError("by_distance routing needs a boundary and a distance")
         if distance < boundary:
-            return bsomp(polar_measurement, obs, polar_cfg, si)
+            return bsomp(polar_measurement, obs, cfg, si)
         return bsomp(angular_measurement, obs, cfg, si)
     if routing == "by_residual":
         angular = bsomp(angular_measurement, obs, cfg, si)
-        polar = bsomp(polar_measurement, obs, polar_cfg, si)
+        polar = bsomp(polar_measurement, obs, cfg, si)
         if polar.final_residual < angular.final_residual:
             return polar
         return angular

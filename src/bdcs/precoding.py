@@ -108,9 +108,9 @@ def block_sparse_precoding(
     orthonormal directions. Blocks wider than the RF chains left are
     skipped. Stops when no unselected block fits the chains left, the
     relative residual reaches the tolerance, or the block budget runs out;
-    F_BB is then the minimum-norm least-squares fit over the chosen
-    columns, rescaled to the stream power budget. Blocks are scored through
-    the dictionary's cached ``single_precision`` copy.
+    F_RF stacks the blocks as the loop projected them, and F_BB is the
+    minimum-norm least-squares fit over them, rescaled to the stream power
+    budget. Blocks are scored through the dictionary's ``single_precision``.
     """
     f_opt = np.asarray(f_opt)
     n_t, n_s = f_opt.shape
@@ -123,15 +123,17 @@ def block_sparse_precoding(
     tol = cfg.residual_tolerance if cfg is not None else 1e-10
     max_blocks = cfg.max_blocks if cfg is not None else partition.num_blocks
     target_mod = 1.0 / np.sqrt(n_t)
+    projected = []  # without a decay rule, the kernel maps exactly the blocks it selects
 
     def phase_projection(cols):
-        return target_mod * np.exp(1j * np.angle(cols))
+        projected.append(target_mod * np.exp(1j * np.angle(cols)))
+        return projected[-1]
 
-    _, cols, f_bb, _ = _greedy_blocks(
+    _, _, f_bb, _ = _greedy_blocks(
         dictionary.atoms, f_opt, partition, max_blocks, tol, column_map=phase_projection,
         max_columns=num_rf_chains, screen=dictionary.single_precision,
     )
-    f_rf = phase_projection(dictionary.atoms[:, cols])
+    f_rf = np.hstack(projected) if projected else np.empty((n_t, 0))
 
     combined_norm = float(np.linalg.norm(f_rf @ f_bb))
     if combined_norm == 0.0:

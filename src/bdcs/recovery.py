@@ -51,9 +51,9 @@ class SideInformation:
     decay_floor: Optional[float] = None
 
     def __post_init__(self):
-        if self.temporal_gain < 0:
-            raise ValueError("temporal_gain must be non-negative")
-        if self.temporal_width <= 0:
+        if not (np.isfinite(self.temporal_gain) and self.temporal_gain >= 0):
+            raise ValueError("temporal_gain must be finite and non-negative")
+        if not self.temporal_width > 0:  # also rejects nan
             raise ValueError("temporal_width must be positive")
         if self.decay_floor is not None and not (0.0 < self.decay_floor <= 1.0):
             raise ValueError("decay_floor must lie in (0, 1] or be None")
@@ -70,9 +70,10 @@ class RecoveryConfig:
     partition: Optional[BlockPartition] = None
 
     def __post_init__(self):
-        if self.max_blocks < 1:
-            raise ValueError("max_blocks must be at least 1")
-        if self.residual_tolerance < 0:
+        blocks = self.max_blocks
+        if isinstance(blocks, bool) or not isinstance(blocks, (int, np.integer)) or blocks < 1:
+            raise ValueError("max_blocks must be an integer of at least 1")
+        if not self.residual_tolerance >= 0:  # also rejects nan
             raise ValueError("residual_tolerance must be non-negative")
 
 

@@ -60,14 +60,16 @@ class Observation:
         y = np.asarray(self.per_subcarrier)
         if y.ndim != 2:
             raise ValueError("per_subcarrier must have shape (K, Q)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("per_subcarrier entries must be finite")
         if not self.noise_variance >= 0:  # also rejects nan
             raise ValueError("noise_variance must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """Product of pilot and dictionary with its columns rescaled to unit
-    norm, Q x G.
+    """Product P A of a pilot and a dictionary, columns rescaled to unit
+    norm, Q x G (the pilot is not kept).
 
     ``column_scales`` (length G) holds the norms the columns of P A had
     before rescaling, 1 for an all-zero column; recovery divides by them to
@@ -78,7 +80,6 @@ class MeasurementMatrix:
 
     entries: np.ndarray
     dictionary: Dictionary
-    pilot: PilotMatrix
     column_scales: np.ndarray
 
     def __post_init__(self):
@@ -150,4 +151,4 @@ def measurement_matrix(pilot: PilotMatrix, dictionary: Dictionary) -> Measuremen
     product = pilot.entries @ dictionary.atoms
     scales = np.linalg.norm(product, axis=0)
     safe = np.where(scales > 0, scales, 1.0)
-    return MeasurementMatrix(product / safe, dictionary, pilot, safe)
+    return MeasurementMatrix(product / safe, dictionary, safe)

@@ -268,7 +268,7 @@ def test_criterion_09_coherence_oracles():
     for trial in range(50):
         block_length = (1, 2, 4)[trial % 3]
         dictionary = random_dictionary(rng, 16, 40, block_length)
-        metrics = block_metrics(dictionary)
+        metrics = block_metrics(dictionary.atoms, dictionary.partition)
         mu_ref = brute_force_coherence(dictionary.atoms)
         mu_b_ref, nu_ref = brute_force_block_metrics(dictionary.atoms, block_length)
         worst = max(
@@ -288,8 +288,8 @@ def test_criterion_09_coherence_oracles():
 def test_criterion_10_partition_sanity():
     limit = sparsity_upper_limit(DictionaryMetrics(1 / 3, 1 / 3, 0.0), 1)
 
-    below = SparsityProfile((1.0, 2.0, 3.0), (2, 2, 1), (2.0, 2.0, 1.0), 0.95)
-    above = SparsityProfile((1.0, 2.0, 3.0), (9, 8, 7), (9.0, 8.0, 7.0), 0.95)
+    below = SparsityProfile((1.0, 2.0, 3.0), (2.0, 2.0, 1.0), 0.95)
+    above = SparsityProfile((1.0, 2.0, 3.0), (9.0, 8.0, 7.0), 0.95)
     r_below = partition_boundary(below, 3)
     r_above = partition_boundary(above, 3)
 

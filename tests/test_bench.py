@@ -13,6 +13,7 @@ from bdcs import ConfigurationError
 from bdcs.bench import (
     ChannelSettings,
     ExperimentConfig,
+    RecoverySettings,
     run_nmse_vs_distance,
     run_nmse_vs_snr,
     run_se_vs_snr,
@@ -60,6 +61,7 @@ class TestConfig:
             ({"recovery": {"max_block": 8}}, "recovery.max_block"),
             ({"side_information": {"temporal_gain": 1}}, "side_information.temporal_gain"),
             ({"array": {"carrier_freq": 28e9}}, "array.carrier_freq"),
+            ({"output": "curve.csv"}, "output"),  # sweeps write to their out_path only
         ],
     )
     def test_unknown_key_rejected(self, raw, key):
@@ -109,6 +111,11 @@ class TestConfig:
             ({"channel": {"num_users": 0}}, {"channel": ChannelSettings(num_users=0)}, "channel.num_users"),
             ({"seed": -1}, {"seed": -1}, "seed"),
             ({"rayleigh_fracs": []}, {"rayleigh_fracs": ()}, "rayleigh_fracs"),
+            ({"recovery": {"residual_tolerance": float("nan")}},
+             {"recovery": RecoverySettings(residual_tolerance=float("nan"))}, "recovery.residual_tolerance"),
+            ({"recovery": {"residual_tolerance": -0.1}},
+             {"recovery": RecoverySettings(residual_tolerance=-0.1)}, "recovery.residual_tolerance"),
+            ({"recovery": {"max_blocks": 0}}, {"recovery": RecoverySettings(max_blocks=0)}, "recovery.max_blocks"),
         ],
     )
     def test_bad_value_refused_before_compute(self, raw, changes, key):

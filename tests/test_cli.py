@@ -110,6 +110,17 @@ def test_runs_without_config_flag():
     assert "--out" in result.output and "--trials" in result.output
 
 
+def test_partition_command_builds_no_polar_dictionary(tmp_path, monkeypatch):
+    import bdcs.bench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partition command reads only the angular domain")
+
+    monkeypatch.setattr(bdcs.bench, "build_polar_dictionary", refuse)
+    result = CliRunner().invoke(main, ["partition", "--config", str(write_config(tmp_path))])
+    assert result.exit_code == 0, result.output
+
+
 def test_trials_flag_overrides_partition_trials(tmp_path, monkeypatch):
     import bdcs.cli
 

@@ -66,7 +66,7 @@ class TestAngularDictionary:
         np.fill_diagonal(gram, 0)
         assert gram.max() > 0.1
         # brute-force Gram agrees with the matrix product
-        assert abs(coherence(d) - brute_force_coherence(d.atoms)) < 1e-12
+        assert abs(coherence(d.atoms) - brute_force_coherence(d.atoms)) < 1e-12
 
     def test_partition_arithmetic(self):
         arr = ArrayConfig(256, 30e9)
@@ -148,7 +148,7 @@ class TestPolarDictionary:
 class TestCoherence:
     def test_orthonormal_zero(self):
         d = build_angular_dictionary(ArrayConfig(8, 30e9), 1, 1)
-        assert coherence(d) < 1e-10
+        assert coherence(d.atoms) < 1e-10
 
     def test_duplicate_columns_one(self):
         rng = np.random.default_rng(0)
@@ -173,8 +173,8 @@ class TestBlockMetrics:
     def test_single_column_blocks_reduce_to_coherence(self):
         rng = np.random.default_rng(5)
         d = random_dictionary(rng, 8, 16, 1)
-        metrics = block_metrics(d)
-        assert metrics.block_coherence == coherence(d)
+        metrics = block_metrics(d.atoms, d.partition)
+        assert metrics.block_coherence == coherence(d.atoms)
         assert metrics.sub_coherence == 0.0
 
     def test_identical_subspace_blocks_maximal(self):
@@ -198,7 +198,7 @@ class TestBlockMetrics:
         rng = np.random.default_rng(40 + block_length)
         for _ in range(5):
             d = random_dictionary(rng, 16, 40, block_length)
-            metrics = block_metrics(d)
+            metrics = block_metrics(d.atoms, d.partition)
             assert abs(metrics.coherence - brute_force_coherence(d.atoms)) < 1e-12
             mu_b, nu = brute_force_block_metrics(d.atoms, block_length)
             assert abs(metrics.block_coherence - mu_b) < 1e-12
@@ -208,7 +208,7 @@ class TestBlockMetrics:
         rng = np.random.default_rng(9)
         m = rng.standard_normal((4, 5)) + 0j
         m /= np.linalg.norm(m, axis=0)
-        partition = BlockPartition(((0, 2), (2, 3)))
+        partition = BlockPartition([2, 3])
         with pytest.raises(ConfigurationError):
             block_metrics(m, partition)
 
@@ -217,25 +217,38 @@ class TestBlockMetrics:
     def test_unit_blocks_equal_coherence_property(self, seed):
         rng = np.random.default_rng(seed)
         d = random_dictionary(rng, 6, 12, 1)
-        assert block_metrics(d).block_coherence == coherence(d)
+        assert block_metrics(d.atoms, d.partition).block_coherence == coherence(d.atoms)
 
 
 class TestBlockPartition:
     def test_cover_validation(self):
-        with pytest.raises(ConfigurationError):
-            BlockPartition(((0, 2), (3, 2)))  # gap
-        with pytest.raises(ConfigurationError):
-            BlockPartition(((1, 2),))  # does not start at zero
+        # a partition is its block lengths, so a gap cannot be written down;
+        # what remains to refuse is a length list that is not one
+        for lengths in ([], [2, 0], [2, -1], [2.0, 1.5], [True, True], [[2, 2]]):
+            with pytest.raises(ConfigurationError):
+                BlockPartition(lengths)
 
     def test_uniform_requires_divisibility(self):
         with pytest.raises(ConfigurationError):
             BlockPartition.uniform(10, 3)
 
     def test_from_lengths(self):
-        p = BlockPartition.from_lengths([3, 2, 4])
-        assert p.blocks == ((0, 3), (3, 2), (5, 4))
+        p = BlockPartition([3, 2, 4])
+        assert p.starts.tolist() == [0, 3, 5] and p.lengths.tolist() == [3, 2, 4]
+        assert p.block_slice(1) == slice(3, 5)
         assert p.uniform_length is None
         assert p.size == 9
+
+    def test_starts_and_lengths_read_only(self):
+        source = np.array([3, 2, 4])
+        p = BlockPartition(source)
+        with pytest.raises(ValueError):
+            p.lengths[0] = 1
+        with pytest.raises(ValueError):
+            p.starts[1] = 0
+        assert p.starts is p.starts
+        source[0] = 1  # the partition holds its own copy
+        assert p.lengths.tolist() == [3, 2, 4]
 
 
 class TestDictionaryValidation:

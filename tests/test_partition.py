@@ -114,7 +114,7 @@ class TestSparsityUpperLimit:
 class TestPartitionBoundary:
     def make_profile(self, taps):
         distances = tuple(float(i + 1) for i in range(len(taps)))
-        return SparsityProfile(distances, tuple(taps), tuple(float(t) for t in taps), 0.95)
+        return SparsityProfile(distances, tuple(float(t) for t in taps), 0.95)
 
     def test_all_below_gives_zero(self):
         assert partition_boundary(self.make_profile([2, 2, 1]), upper_limit=3) == 0.0

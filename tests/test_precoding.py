@@ -148,13 +148,27 @@ class TestBlockSparsePrecoding:
     def test_skips_blocks_wider_than_the_chains_left(self, seed):
         # 3 chains over blocks of 1, 3, 1, 3 columns: once one narrow block
         # is chosen a wide block no longer fits, but the other narrow one does
-        partition = BlockPartition.from_lengths([1, 3, 1, 3])
+        partition = BlockPartition([1, 3, 1, 3])
         rng = np.random.default_rng(seed)
         d = random_dictionary(rng, 8, partition.size, 1)
         f_opt, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
         pair = block_sparse_precoding(f_opt, d, 3, RecoveryConfig(partition.num_blocks, 1e-10, partition))
         assert isinstance(pair, PrecoderPair)
         assert 2 <= pair.num_chains <= 3
+
+    def test_analog_stage_is_the_projection_of_dictionary_atoms(self):
+        rng = np.random.default_rng(17)
+        d = build_angular_dictionary(ArrayConfig(32, 30e9), 1, 2)
+        f_opt = optimal_precoder(random_nf_channel(rng, n_t=32, paths=5), 2)
+        pair = block_sparse_precoding(f_opt, d, 4)
+        projected = np.exp(1j * np.angle(d.atoms)) / np.sqrt(32)
+        for column in pair.f_rf.T:
+            assert (projected == column[:, None]).all(axis=0).any()
+
+    def test_zero_target_is_degenerate(self):
+        d = build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1)
+        with pytest.raises(ValueError, match="degenerate precoder"):
+            block_sparse_precoding(np.zeros((16, 2), complex), d, 4)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)

@@ -19,6 +19,7 @@ def test_exported_names_are_unique():
 ARRAY_DATACLASSES = (
     "PilotMatrix", "Observation", "MeasurementMatrix", "Dictionary",
     "ChannelRealization", "RecoveryResult", "MatrixChannel", "PrecoderPair",
+    "BlockPartition",
 )
 
 

@@ -40,7 +40,7 @@ block_lengths = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_
 )
 def test_bsomp_residual_falls_and_support_is_disjoint(lengths, q, k, max_blocks, decay_floor, seed):
     rng = np.random.default_rng(seed)
-    partition = BlockPartition.from_lengths(lengths)
+    partition = BlockPartition(lengths)
     dictionary = random_dictionary(rng, 16, partition.size, 1)
     mm = measurement_matrix(make_pilot_matrix(q, 16, seed), dictionary)
     y = rng.standard_normal((k, q)) + 1j * rng.standard_normal((k, q))
@@ -70,7 +70,7 @@ def test_bsomp_residual_falls_and_support_is_disjoint(lengths, q, k, max_blocks,
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_hybrid_precoder_respects_the_chain_budget(lengths, n_t, n_s, extra_chains, seed):
-    partition = BlockPartition.from_lengths(lengths)
+    partition = BlockPartition(lengths)
     # blocks too wide for the chains left are skipped, so n_s single columns suffice
     assume(lengths.count(1) >= n_s)
     num_rf_chains = n_s + extra_chains
@@ -98,7 +98,7 @@ def test_hybrid_precoder_respects_the_chain_budget(lengths, n_t, n_s, extra_chai
 )
 def test_bsomp_support_matches_reference_loop(lengths, k, max_blocks, seed):
     rng = np.random.default_rng(seed)
-    partition = BlockPartition.from_lengths(lengths)
+    partition = BlockPartition(lengths)
     dictionary = random_dictionary(rng, 32, partition.size, 1)
     mm = measurement_matrix(make_pilot_matrix(24, 32, seed), dictionary)
     y = rng.standard_normal((k, 24)) + 1j * rng.standard_normal((k, 24))
@@ -118,7 +118,7 @@ def test_bsomp_support_matches_reference_loop(lengths, k, max_blocks, seed):
 )
 def test_bsomp_is_scale_equivariant(lengths, k, max_blocks, exponent, seed):
     rng = np.random.default_rng(seed)
-    partition = BlockPartition.from_lengths(lengths)
+    partition = BlockPartition(lengths)
     dictionary = random_dictionary(rng, 32, partition.size, 1)
     mm = measurement_matrix(make_pilot_matrix(24, 32, seed), dictionary)
     y = rng.standard_normal((k, 24)) + 1j * rng.standard_normal((k, 24))
@@ -149,7 +149,7 @@ def test_bsomp_is_scale_equivariant(lengths, k, max_blocks, exponent, seed):
 def test_kernel_matches_lstsq_refit_reference(
     lengths, m, s, max_blocks, tolerance, weighted, decay_floor, phase_map, max_columns, duplicate, seed
 ):
-    partition = BlockPartition.from_lengths(lengths)
+    partition = BlockPartition(lengths)
     widest = sum(sorted(lengths)[-max_blocks:])
     # once the residual is zero to rounding (M rows spanned), block scores are
     # rounding noise and no two implementations need agree on the next block

@@ -249,6 +249,17 @@ class TestSideInformationMechanisms:
         with pytest.raises(ValueError):
             SideInformation(decay_floor=1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"temporal_gain": np.nan}, {"temporal_gain": np.inf}, {"temporal_width": np.nan}],
+        ids=["nan-gain", "inf-gain", "nan-width"],
+    )
+    def test_non_finite_weights_refused(self, kwargs):
+        # non-finite BD-SI weights leave no block a candidate, and the kernel
+        # then selected block 0 on every step
+        with pytest.raises(ValueError, match="temporal_"):
+            SideInformation((1,), **kwargs)
+
 
 class TestReconstructAndNmse:
     def test_reconstruct_zero(self):
@@ -313,3 +324,17 @@ class TestRecoveryConfigValidation:
             RecoveryConfig(0)
         with pytest.raises(ValueError):
             RecoveryConfig(2, -0.5)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(4, np.nan), (2.5, 0.0), (True, 0.0)],
+        ids=["nan-tolerance", "fractional-budget", "boolean-budget"],
+    )
+    def test_refuses_nan_tolerance_and_non_integer_budget(self, args):
+        # a nan tolerance stopped the loop before its first block; 2.5 blocks
+        # failed inside the kernel and True ran one block
+        with pytest.raises(ValueError):
+            RecoveryConfig(*args)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert RecoveryConfig(np.int64(3)).max_blocks == 3

@@ -85,7 +85,7 @@ def _duplicate_instance(seed, scale):
     columns = rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5))
     columns[:, 4] = columns[:, 2] * scale
     target = columns[:, 2:3] + 0.3 * (rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1)))
-    return columns, target, BlockPartition.from_lengths([2, 1, 1, 1])
+    return columns, target, BlockPartition([2, 1, 1, 1])
 
 
 @pytest.mark.parametrize("scale", [1.0 + 5e-10, 1.0 - 5e-10])

@@ -112,6 +112,14 @@ class TestObserve:
         with pytest.raises(ValueError, match="noise_variance"):
             Observation(np.zeros((2, 4), complex), -1.0, 10.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_observation_rejects_non_finite_samples(self, bad):
+        # one nan sample gave an all-zero estimate, one inf sample support (0,)
+        y = np.ones((2, 4), complex)
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match="per_subcarrier"):
+            Observation(y, 0.1, 10.0)
+
     def test_dimension_mismatch(self):
         arr, channel = make_channel(n=16)
         pilot = make_pilot_matrix(8, 12, seed=0)
@@ -182,7 +190,7 @@ class TestMeasurementMatrix:
     def test_entries_are_not_copied(self):
         d = build_angular_dictionary(ArrayConfig(8, 30e9), 1, 1)
         source = np.ones((4, 8), dtype=complex)
-        mm = MeasurementMatrix(source, d, make_pilot_matrix(4, 8, seed=0), np.ones(8))
+        mm = MeasurementMatrix(source, d, np.ones(8))
         assert mm.entries is source and not source.flags.writeable
 
     def test_single_precision_computed_once(self):
