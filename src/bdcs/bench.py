@@ -132,8 +132,8 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}"
                 )
-        if len(self.snr_db) and not all(np.isfinite(s) or np.isposinf(s) for s in self.snr_db):
-            raise ConfigurationError("snr_db entries must be finite or +inf")
+        if not (len(self.snr_db) and all(np.isfinite(s) or np.isposinf(s) for s in self.snr_db)):
+            raise ConfigurationError("config key 'snr_db': must be non-empty with entries finite or +inf")
         if self.seed < 0:
             raise ConfigurationError(f"config key 'seed': must be non-negative, got {self.seed}")
         if self.channel.num_users < 1:
@@ -146,6 +146,9 @@ class ExperimentConfig:
             raise ConfigurationError("config key 'recovery.max_blocks': must be at least 1")
         if self.recovery.residual_tolerance is not None and not self.recovery.residual_tolerance >= 0:
             raise ConfigurationError("config key 'recovery.residual_tolerance': must be non-negative or null")
+        low, high = self.channel.angle_range
+        if not -1.0 <= low <= high <= 1.0:
+            raise ConfigurationError("config key 'channel.angle_range': must satisfy -1 <= low <= high <= 1")
 
     @property
     def distance_grid(self) -> tuple:
@@ -311,7 +314,6 @@ class Workbench:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.array = cfg.array
         self.grid = SubcarrierGrid(cfg.subcarrier_count, cfg.array.carrier_freq, cfg.subcarrier_spacing)
         self.pilot = _pilot(cfg)
         self.angular, self.polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
@@ -324,8 +326,6 @@ class Workbench:
         tol = self.cfg.recovery.residual_tolerance
         if tol is not None:
             return tol
-        if np.isinf(snr_db):
-            return 0.0
         # stop near the expected noise floor of the relative residual
         rho = 10.0 ** (snr_db / 10.0)
         return float(np.sqrt(1.0 / (1.0 + rho)))
@@ -343,7 +343,7 @@ class Workbench:
             power_decay_rate=cfg.channel.power_decay_rate,
         )
         return synthesize_channel(
-            self.array, [cluster], self.grid, _child_seed(cfg.seed, 2, d_idx, trial, user)
+            cfg.array, [cluster], self.grid, _child_seed(cfg.seed, 2, d_idx, trial, user)
         )
 
     def estimate(self, method: str, obs) -> np.ndarray:
@@ -407,9 +407,8 @@ def _sweep(cfg: ExperimentConfig, xs, labels, trial_values, out_path) -> list:
 
 def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """NMSE of every configured method across the distance grid, at the first
-    configured SNR (the default SNR when the list is empty). Writes CSV when
-    a path is given."""
-    snr_db = (cfg.snr_db or ExperimentConfig.snr_db)[0]
+    configured SNR. Writes CSV when a path is given."""
+    snr_db = cfg.snr_db[0]
     grid = cfg.distance_grid
     bench = Workbench(cfg)
     return _sweep(
@@ -421,8 +420,6 @@ def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) 
 
 def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """NMSE versus SNR at the first configured distance."""
-    if len(cfg.snr_db) == 0:
-        raise ConfigurationError("snr_db must not be empty for an SNR sweep")
     distance = cfg.distance_grid[0]
     bench = Workbench(cfg)
     return _sweep(
@@ -436,8 +433,6 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
     """Spectral efficiency of the SVD precoder and its hybrid approximations
     (angular and polar dictionaries) versus SNR, single link at the first
     configured distance. mean_db carries bits/s/Hz here."""
-    if len(cfg.snr_db) == 0:
-        raise ConfigurationError("snr_db must not be empty for an SNR sweep")
     pre = cfg.precoding
     distance = cfg.distance_grid[0]
     angular, polar = _angular_dictionary(cfg), _polar_dictionary(cfg)

@@ -109,19 +109,19 @@ def dict_info(config_path, seed, out, trials, domain):
     """Dictionary sizes and coherence metrics for the configured array."""
     cfg = _load(config_path, seed, trials)
     angular, polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
+    metrics = block_metrics(angular.atoms, angular.partition)
     click.echo(f"array: N={cfg.array.num_antennas}, carrier={cfg.array.carrier_freq:.4g} Hz, "
                f"spacing={cfg.array.element_spacing:.6g} m")
     click.echo(f"angular dictionary: G={angular.num_atoms} "
                f"(oversampling {cfg.dictionary.oversampling}, "
                f"block length {cfg.dictionary.block_length}), "
-               f"coherence={coherence(angular.atoms):.4f}")
+               f"coherence={metrics.coherence:.4f}")
     _, lengths = np.unique(polar.angles, return_counts=True)
     click.echo(f"polar dictionary: G={polar.num_atoms} "
                f"(beta={cfg.dictionary.beta}, r_min={cfg.dictionary.r_min} m), "
                f"coherence={coherence(polar.atoms):.4f}")
     click.echo(f"polar rings per angle: min={lengths.min() - 1}, "
                f"max={lengths.max() - 1}, mean={lengths.mean() - 1:.2f}")
-    metrics = block_metrics(angular.atoms, angular.partition)
     click.echo(f"angular block metrics: mu={metrics.coherence:.4f} "
                f"mu_B={metrics.block_coherence:.4f} nu={metrics.sub_coherence:.4f}")
     if out:

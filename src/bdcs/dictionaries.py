@@ -193,10 +193,7 @@ def polar_ring_distances(array: ArrayConfig, beta: float, r_min: float, spatial_
         * (1.0 - spatial_angle**2)
         / (2.0 * beta**2 * array.wavelength)
     )
-    count = int(np.floor(z / r_min)) if z >= r_min else 0
-    if count == 0:
-        return np.empty(0)
-    return z / np.arange(1, count + 1)
+    return z / np.arange(1, int(np.floor(z / r_min)) + 1)
 
 
 def build_polar_dictionary(
@@ -275,25 +272,21 @@ def block_metrics(matrix: np.ndarray, partition: BlockPartition) -> DictionaryMe
     gram = a.conj().T @ a
     off = np.abs(gram)
     np.fill_diagonal(off, 0.0)
-    mu = float(off.max()) if a.shape[1] > 1 else 0.0
-
-    num_blocks = partition.num_blocks
+    mu = float(off.max())
     if length == 1:
         # blocks are single columns: mu_B reduces to mu and nu vanishes
         return DictionaryMetrics(mu, mu, 0.0)
 
+    num_blocks = partition.num_blocks
     blocked = gram.reshape(num_blocks, length, num_blocks, length).transpose(0, 2, 1, 3)
     spectral = np.linalg.svd(blocked, compute_uv=False)[..., 0]
-    inter = spectral.copy()
-    np.fill_diagonal(inter, 0.0)
-    mu_block = float(inter.max()) / length if num_blocks > 1 else 0.0
+    np.fill_diagonal(spectral, 0.0)
+    mu_block = float(spectral.max()) / length
 
     nu = 0.0
     for b in range(num_blocks):
         sl = partition.block_slice(b)
-        intra = off[sl, sl]
-        if intra.size:
-            nu = max(nu, float(intra.max()))
+        nu = max(nu, float(off[sl, sl].max()))
     return DictionaryMetrics(mu, mu_block, nu)
 
 
@@ -303,5 +296,4 @@ def export_metadata_csv(dictionary: Dictionary, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["column_index", "domain", "angle", "distance"])
         for index, (angle, distance) in enumerate(zip(dictionary.angles, dictionary.distances)):
-            distance = "inf" if np.isinf(distance) else f"{distance:.10g}"
-            writer.writerow([index, dictionary.domain, f"{angle:.10g}", distance])
+            writer.writerow([index, dictionary.domain, f"{angle:.10g}", f"{distance:.10g}"])

@@ -114,15 +114,9 @@ def sparsity_upper_limit(
         1.0 / mu_b + block_length - (block_length - 1) * metrics.sub_coherence / mu_b
     )
     t = bound / block_length
-    # snap near-integer bounds so the strict inequality survives fp noise
-    rounded = round(t)
-    if abs(t - rounded) <= 1e-9 * max(1.0, abs(t)):
-        t = float(rounded)
-    if t == int(t):
-        k = int(t) - 1
-    else:
-        k = int(np.floor(t))
-    return max(k, 0)
+    # k < t: the ceiling less one, with t within 1e-9 relative of an integer
+    # counted as that integer so the strict inequality survives fp noise
+    return max(int(np.ceil(t - 1e-9 * max(1.0, abs(t)))) - 1, 0)
 
 
 def partition_boundary(profile: SparsityProfile, upper_limit: int) -> float:

@@ -122,12 +122,8 @@ def observe(pilot: PilotMatrix, channel: ChannelRealization, snr_db: float, seed
     if pilot.num_antennas != h.shape[1]:
         raise ValueError("pilot width must equal the channel length")
     noiseless = h @ pilot.entries.T  # (K, Q)
-
-    if np.isinf(snr_db):
-        sigma2 = 0.0
-    else:
-        signal_power = float(np.mean(np.abs(noiseless) ** 2))
-        sigma2 = signal_power / 10.0 ** (snr_db / 10.0)
+    signal_power = float(np.mean(np.abs(noiseless) ** 2))
+    sigma2 = signal_power / 10.0 ** (snr_db / 10.0)  # exactly 0.0 at +inf
 
     if sigma2 > 0:
         rng = np.random.default_rng(seed)

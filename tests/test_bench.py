@@ -2,9 +2,11 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -14,6 +16,7 @@ from bdcs.bench import (
     ChannelSettings,
     ExperimentConfig,
     RecoverySettings,
+    Workbench,
     run_nmse_vs_distance,
     run_nmse_vs_snr,
     run_se_vs_snr,
@@ -116,6 +119,12 @@ class TestConfig:
             ({"recovery": {"residual_tolerance": -0.1}},
              {"recovery": RecoverySettings(residual_tolerance=-0.1)}, "recovery.residual_tolerance"),
             ({"recovery": {"max_blocks": 0}}, {"recovery": RecoverySettings(max_blocks=0)}, "recovery.max_blocks"),
+            # angles are sines: outside [-1, 1] no direction exists
+            ({"channel": {"angle_range": [-2.0, 2.0]}},
+             {"channel": ChannelSettings(angle_range=(-2.0, 2.0))}, "channel.angle_range"),
+            ({"channel": {"angle_range": [0.9, -0.9]}},
+             {"channel": ChannelSettings(angle_range=(0.9, -0.9))}, "channel.angle_range"),
+            ({"snr_db": [10.0, float("-inf")]}, {"snr_db": (10.0, float("-inf"))}, "snr_db"),
         ],
     )
     def test_bad_value_refused_before_compute(self, raw, changes, key):
@@ -214,9 +223,27 @@ class TestNmseSnr:
             assert from_snr[method] == pytest.approx(from_dist[method], abs=1e-12)
 
     def test_empty_snr_rejected(self):
-        cfg = tiny_config(snr_db=[])
-        with pytest.raises(ConfigurationError):
-            run_nmse_vs_snr(cfg)
+        with pytest.raises(ConfigurationError, match="'snr_db'"):
+            run_nmse_vs_snr(tiny_config(snr_db=[]))
+
+
+class TestResidualTolerance:
+    def test_configured_tolerance_returned_as_is(self):
+        bench = Workbench(tiny_config(recovery={"residual_tolerance": 0.05}))
+        assert bench.residual_tolerance(10.0) == 0.05
+        assert bench.residual_tolerance(float("inf")) == 0.05
+
+    @pytest.mark.parametrize("snr_db, expected", [(0.0, np.sqrt(0.5)), (10.0, np.sqrt(1.0 / 11.0))])
+    def test_snr_matched_noise_floor(self, snr_db, expected):
+        bench = Workbench(tiny_config(recovery={"residual_tolerance": None}))
+        assert bench.residual_tolerance(snr_db) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("snr_db", [float("inf"), np.float64("inf")])
+    def test_snr_matched_noiseless_is_exactly_zero(self, snr_db):
+        bench = Workbench(tiny_config(recovery={"residual_tolerance": None}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bench.residual_tolerance(snr_db) == 0.0
 
 
 class TestPilotFractionSweep:

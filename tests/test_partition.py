@@ -109,6 +109,19 @@ class TestSparsityUpperLimit:
         bound = 0.5 * (1 / 0.1 + lb - (lb - 1) * 0.05 / 0.1)
         expected = int(np.floor(bound / lb)) if (bound / lb) % 1 else int(bound / lb) - 1
         assert sparsity_upper_limit(metrics, lb) == expected
+        # near-integer t = bound / L: k is the largest integer below t, where t
+        # within 1e-9 relative of an integer n counts as n (so k = n - 1)
+        cases = [(1.0, 0), (1.0 + 2e-9, 1), (1.0 - 2e-9, 0)]
+        for n in (3, 7, 40, 299):
+            cases += [(n, n - 1), (n + 1e-12, n - 1), (n - 1e-12, n - 1),
+                      (n + 2e-9, n - 1), (n - 2e-9, n - 1),  # within n * 1e-9 of n
+                      (n * (1 + 3e-9), n), (n * (1 - 3e-9), n - 1)]
+        for lb in (1, 4):
+            for t, k in cases:
+                # nu = 0 makes the bound 0.5 (1/mu_B + L), so t = 0.5 (1/(L mu_B) + 1)
+                mu_b = 1.0 / (lb * (2.0 * t - 1.0))
+                metrics = DictionaryMetrics(min(mu_b, 1.0), mu_b, 0.0)
+                assert sparsity_upper_limit(metrics, lb) == k, (lb, t)
 
 
 class TestPartitionBoundary:

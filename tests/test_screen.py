@@ -55,8 +55,8 @@ def test_reference_supports_match_float64(bench, snr_db, decay_floor):
 @pytest.mark.parametrize("domain", ["angular", "polar"])
 def test_reference_precoder_matches_float64(bench, domain, num_rf_chains):
     dictionary = bench.angular if domain == "angular" else bench.polar
-    rx_array = ArrayConfig(4, bench.array.carrier_freq)
-    n_t = bench.array.num_antennas
+    rx_array = ArrayConfig(4, bench.cfg.array.carrier_freq)
+    n_t = bench.cfg.array.num_antennas
     for seed in range(4):
         rng = np.random.default_rng(seed)
         distance = (16.3, 60.0, 130.0, 390.0)[seed]
@@ -65,7 +65,7 @@ def test_reference_precoder_matches_float64(bench, domain, num_rf_chains):
                       complex(rng.standard_normal(), rng.standard_normal()))
             for _ in range(6)
         ]
-        channel = MatrixChannel(synthesize_matrix_channel(bench.array, rx_array, paths, rng.uniform(-1, 1, 6)))
+        channel = MatrixChannel(synthesize_matrix_channel(bench.cfg.array, rx_array, paths, rng.uniform(-1, 1, 6)))
         f_opt = optimal_precoder(channel, 2)
 
         pair = block_sparse_precoding(f_opt, dictionary, num_rf_chains)
