@@ -142,6 +142,9 @@ class ExperimentConfig:
             raise ConfigurationError("config key 'pilot.fraction': must give at least one pilot")
         if not (self.distances or self.rayleigh_fracs):
             raise ConfigurationError("config key 'rayleigh_fracs': must not be empty without distances")
+        if not all(0.0 < r < np.inf for r in self.distance_grid):  # also rejects nan
+            key = "distances" if self.distances else "rayleigh_fracs"
+            raise ConfigurationError(f"config key {key!r}: must give distances in (0, inf)")
         if self.recovery.max_blocks < 1:
             raise ConfigurationError("config key 'recovery.max_blocks': must be at least 1")
         if self.recovery.residual_tolerance is not None and not self.recovery.residual_tolerance >= 0:
@@ -153,13 +156,9 @@ class ExperimentConfig:
     @property
     def distance_grid(self) -> tuple:
         if self.distances:
-            grid = tuple(float(r) for r in self.distances)
-        else:
-            rd = rayleigh_distance(self.array)
-            grid = tuple(f * rd for f in self.rayleigh_fracs)
-        if any(r <= 0 or np.isinf(r) for r in grid):
-            raise ConfigurationError("distances must lie in (0, inf)")
-        return grid
+            return tuple(float(r) for r in self.distances)
+        rd = rayleigh_distance(self.array)
+        return tuple(f * rd for f in self.rayleigh_fracs)
 
     @property
     def pilot_count(self) -> int:

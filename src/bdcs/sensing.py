@@ -50,20 +50,33 @@ class PilotMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """Received pilot signal per subcarrier, shape (K, Q), plus the noise level."""
+    """Received pilot signal per subcarrier, shape (K, Q), plus the noise level.
+
+    ``per_subcarrier`` is a read-only copy of the samples passed in, so the
+    pursuit results that recovery stores on the observation can never go
+    stale.
+    """
 
     per_subcarrier: np.ndarray
     noise_variance: float
     snr_db: float
 
     def __post_init__(self):
-        y = np.asarray(self.per_subcarrier)
+        y = np.array(self.per_subcarrier)
         if y.ndim != 2:
             raise ValueError("per_subcarrier must have shape (K, Q)")
         if not np.all(np.isfinite(y)):
             raise ValueError("per_subcarrier entries must be finite")
         if not self.noise_variance >= 0:  # also rejects nan
             raise ValueError("noise_variance must be non-negative")
+        y.flags.writeable = False
+        object.__setattr__(self, "per_subcarrier", y)
+
+    @cached_property
+    def _pursuits(self) -> dict:
+        """Pursuit results solved on this observation, keyed by (measurement,
+        recovery config, side information); filled and read by ``bsomp``."""
+        return {}
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,22 @@ def random_dictionary(rng, num_antennas, num_atoms, block_length):
     )
 
 
+def count_kernel_runs(monkeypatch) -> list:
+    """Wrap the greedy block kernel that bsomp calls so that every run
+    appends to the returned list."""
+    import bdcs.recovery
+
+    runs = []
+    kernel = bdcs.recovery._greedy_blocks
+
+    def counted(*args, **kwargs):
+        runs.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(bdcs.recovery, "_greedy_blocks", counted)
+    return runs
+
+
 def block_sparse_instance(rng, measurement, sparsity_blocks, snr_db, num_subcarriers=1):
     """Draw a block-sparse coefficient matrix, its noisy observation, and the
     true block support. Coefficients live in the (renormalized) measurement

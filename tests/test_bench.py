@@ -125,6 +125,13 @@ class TestConfig:
             ({"channel": {"angle_range": [0.9, -0.9]}},
              {"channel": ChannelSettings(angle_range=(0.9, -0.9))}, "channel.angle_range"),
             ({"snr_db": [10.0, float("-inf")]}, {"snr_db": (10.0, float("-inf"))}, "snr_db"),
+            ({"distances": [10.0, -2.0]}, {"distances": (10.0, -2.0)}, "distances"),
+            ({"distances": [0.0]}, {"distances": (0.0,)}, "distances"),
+            ({"distances": [float("inf")]}, {"distances": (float("inf"),)}, "distances"),
+            ({"distances": [float("nan")]}, {"distances": (float("nan"),)}, "distances"),
+            ({"rayleigh_fracs": [0.5, 0.0]}, {"rayleigh_fracs": (0.5, 0.0)}, "rayleigh_fracs"),
+            ({"rayleigh_fracs": [-0.1]}, {"rayleigh_fracs": (-0.1,)}, "rayleigh_fracs"),
+            ({"rayleigh_fracs": [float("nan")]}, {"rayleigh_fracs": (float("nan"),)}, "rayleigh_fracs"),
         ],
     )
     def test_bad_value_refused_before_compute(self, raw, changes, key):
@@ -156,9 +163,8 @@ class TestConfig:
         assert ExperimentConfig.from_dict(yaml.safe_load(block)) == ExperimentConfig.from_dict({})
 
     def test_distance_grid_validation(self):
-        cfg = tiny_config(distances=[1.0, -2.0])
-        with pytest.raises(ConfigurationError):
-            cfg.distance_grid
+        with pytest.raises(ConfigurationError, match="'distances'"):
+            tiny_config(distances=[1.0, -2.0])
 
     def test_rayleigh_fracs_expand(self):
         cfg = tiny_config(rayleigh_fracs=[0.5, 1.0], distances=[])

@@ -23,6 +23,7 @@ from bdcs import (
     sparsity_upper_limit,
     steering_near,
 )
+from helpers import count_kernel_runs
 
 
 class TestSparsityProfile:
@@ -205,6 +206,18 @@ class TestCompleteBdcs:
         assert result.support_blocks == polar_direct.support_blocks
         assert result.final_residual < 1e-8
         assert np.linalg.norm(result.reconstructed_channels[0] - h) < 1e-6
+
+    def test_routing_reuses_the_standalone_pursuits(self, monkeypatch):
+        obs, _ = self.polar_grid_observation()
+        angular = bsomp(self.mm_ang, obs, self.cfg)
+        polar = bsomp(self.mm_pol, obs, self.cfg)
+        runs = count_kernel_runs(monkeypatch)
+        cfg = RecoveryConfig(3, 0.0)  # equal to self.cfg, another object
+        assert complete_bdcs(obs, self.mm_ang, self.mm_pol, cfg, routing="by_residual") is polar
+        assert complete_bdcs(
+            obs, self.mm_ang, self.mm_pol, cfg, routing="by_distance", boundary=10.0, distance=50.0,
+        ) is angular
+        assert runs == []
 
     @pytest.mark.parametrize("boundary", [-1.0, np.nan])
     def test_by_distance_rejects_negative_or_nan_boundary(self, boundary):

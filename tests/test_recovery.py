@@ -18,7 +18,7 @@ from bdcs import (
     reconstruct,
 )
 from bdcs.recovery import _temporal_weights
-from helpers import block_sparse_instance, omp_reference, random_dictionary
+from helpers import block_sparse_instance, count_kernel_runs, omp_reference, random_dictionary
 
 
 def make_measurement(rng, n=64, g=128, lb=4, q=32, seed=7):
@@ -196,6 +196,64 @@ class TestBsompInvariants:
         bad = RecoveryConfig(2, 0.0, BlockPartition.uniform(64, 4))
         with pytest.raises(ConfigurationError):
             bsomp(mm, obs, bad)
+
+
+class TestBsompMemo:
+    def test_repeated_call_returns_the_stored_result(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        mm = make_measurement(rng)
+        _, obs, _ = block_sparse_instance(rng, mm, 2, 10.0, num_subcarriers=2)
+        runs = count_kernel_runs(monkeypatch)
+        first = bsomp(mm, obs, RecoveryConfig(3, 0.0), SideInformation(decay_floor=0.05))
+        again = bsomp(mm, obs, RecoveryConfig(3, 0.0), SideInformation(decay_floor=0.05))
+        assert again is first
+        assert len(runs) == 1
+
+    def test_any_changed_input_runs_the_kernel(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        pilot = make_pilot_matrix(32, 64, seed=7)
+        d = random_dictionary(rng, 64, 128, 4)
+        mm = measurement_matrix(pilot, d)
+        _, obs, _ = block_sparse_instance(rng, mm, 2, 10.0)
+        cfg = RecoveryConfig(3, 0.0)
+        base = bsomp(mm, obs, cfg)
+        runs = count_kernel_runs(monkeypatch)
+        variants = [
+            (mm, obs, RecoveryConfig(2, 0.0), None),
+            (mm, obs, RecoveryConfig(3, 0.5), None),
+            (mm, obs, RecoveryConfig(3, 0.0, BlockPartition.uniform(128, 2)), None),
+            (mm, obs, cfg, SideInformation(decay_floor=0.05)),
+            (mm, obs, cfg, SideInformation((3,), temporal_gain=1.0)),
+            # equal entries, other objects: the memo keys on neither contents
+            (measurement_matrix(pilot, d), obs, cfg, None),
+            (mm, Observation(obs.per_subcarrier, obs.noise_variance, obs.snr_db), cfg, None),
+        ]
+        for i, args in enumerate(variants, start=1):
+            result = bsomp(*args)
+            assert result is not base
+            assert len(runs) == i
+            assert bsomp(*args) is result and len(runs) == i
+
+    def test_result_arrays_are_read_only(self):
+        rng = np.random.default_rng(39)
+        mm = make_measurement(rng)
+        _, obs, _ = block_sparse_instance(rng, mm, 2, 10.0)
+        result = bsomp(mm, obs, RecoveryConfig(3, 0.0))
+        for array in (result.coefficients, result.reconstructed_channels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_underdetermined_warning_on_every_call(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        mm = make_measurement(rng, q=8)
+        _, obs, _ = block_sparse_instance(rng, mm, 1, 10.0)
+        runs = count_kernel_runs(monkeypatch)
+        with pytest.warns(UserWarning, match="underdetermined"):
+            first = bsomp(mm, obs, RecoveryConfig(4, 0.0))
+        with pytest.warns(UserWarning, match="underdetermined"):
+            again = bsomp(mm, obs, RecoveryConfig(4, 0.0))
+        assert again is first and len(runs) == 1
 
 
 class TestSideInformationMechanisms:

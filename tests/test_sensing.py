@@ -9,6 +9,7 @@ from bdcs import (
     PilotMatrix,
     SubcarrierGrid,
     build_angular_dictionary,
+    ls_estimate,
     make_pilot_matrix,
     measurement_matrix,
     observe,
@@ -119,6 +120,21 @@ class TestObserve:
         y[1, 2] = bad
         with pytest.raises(ValueError, match="per_subcarrier"):
             Observation(y, 0.1, 10.0)
+
+    def test_observation_accepts_nested_lists(self):
+        obs = Observation([[1 + 0j, 2], [3, 4]], 0.1, 10.0)
+        assert isinstance(obs.per_subcarrier, np.ndarray)
+        est = ls_estimate(PilotMatrix(np.eye(2)), obs)
+        assert np.allclose(est, [[1, 2], [3, 4]])
+
+    def test_observation_samples_are_read_only_copies(self):
+        y = np.ones((2, 4), complex)
+        obs = Observation(y, 0.1, 10.0)
+        y[0, 0] = 5.0
+        assert np.array_equal(obs.per_subcarrier, np.ones((2, 4)))
+        assert not obs.per_subcarrier.flags.writeable
+        with pytest.raises(ValueError):
+            obs.per_subcarrier[0, 0] = 5.0
 
     def test_dimension_mismatch(self):
         arr, channel = make_channel(n=16)
