@@ -34,12 +34,14 @@ from .dictionaries import (
     DEFAULT_POLAR_BETA,
     DEFAULT_POLAR_R_MIN,
     BlockPartition,
+    angular_partition,
     build_angular_dictionary,
     build_polar_dictionary,
+    polar_ring_distances,
 )
 from .errors import ConfigurationError
-from .partition import complete_bdcs
-from .precoding import MatrixChannel, block_sparse_precoding, optimal_precoder, spectral_efficiency
+from .partition import check_profile, complete_bdcs
+from .precoding import MatrixChannel, block_sparse_precoding, check_counts, optimal_precoder, spectral_efficiency
 from .recovery import RecoveryConfig, SideInformation, bsomp, ls_estimate, nmse
 from .sensing import make_pilot_matrix, measurement_matrix, observe
 
@@ -56,6 +58,11 @@ class ChannelSettings:
     distance_spread_frac: float = 0.1
     power_decay_rate: float = 0.5
     angle_range: tuple[float, float] = (-0.866, 0.866)  # 120 degree sector
+
+    def cluster(self, angle: float, distance: float) -> ClusterSpec:
+        """The sweep's scatterer cluster of one user, centred at (angle, distance)."""
+        return ClusterSpec(angle, distance, self.angle_spread, self.distance_spread_frac * distance,
+                           self.paths_per_user, self.power_decay_rate)
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,12 @@ _YAML_NAMES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; see from_dict for the file schema."""
+    """Everything a sweep needs; see from_dict for the file schema.
+
+    Construction checks every field, each rule by the library object or
+    function that owns it, and keeps the owner objects the sweeps reuse:
+    ``subcarrier_grid``, ``side_info`` and the receive array ``rx_array``.
+    """
 
     array: ArrayConfig = field(default_factory=lambda: ArrayConfig(256, 30e9))
     subcarrier_count: int = 4
@@ -124,14 +136,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ConfigurationError("trials must be at least 1")
-        if len(self.methods) == 0:
-            raise ConfigurationError("methods must not be empty")
-        for m in self.methods:
-            if m not in VALID_METHODS:
-                raise ConfigurationError(
-                    f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}"
-                )
+            raise ConfigurationError("config key 'trials': must be at least 1")
+        if not self.methods or not set(self.methods) <= set(VALID_METHODS):
+            raise ConfigurationError(f"config key 'methods': must be a non-empty subset of {VALID_METHODS}")
         if not (len(self.snr_db) and all(np.isfinite(s) or np.isposinf(s) for s in self.snr_db)):
             raise ConfigurationError("config key 'snr_db': must be non-empty with entries finite or +inf")
         if self.seed < 0:
@@ -140,18 +147,34 @@ class ExperimentConfig:
             raise ConfigurationError("config key 'channel.num_users': must be at least 1")
         if not (np.isfinite(self.pilot_fraction) and self.pilot_count >= 1):
             raise ConfigurationError("config key 'pilot.fraction': must give at least one pilot")
-        if not (self.distances or self.rayleigh_fracs):
-            raise ConfigurationError("config key 'rayleigh_fracs': must not be empty without distances")
-        if not all(0.0 < r < np.inf for r in self.distance_grid):  # also rejects nan
-            key = "distances" if self.distances else "rayleigh_fracs"
-            raise ConfigurationError(f"config key {key!r}: must give distances in (0, inf)")
-        if self.recovery.max_blocks < 1:
-            raise ConfigurationError("config key 'recovery.max_blocks': must be at least 1")
-        if self.recovery.residual_tolerance is not None and not self.recovery.residual_tolerance >= 0:
-            raise ConfigurationError("config key 'recovery.residual_tolerance': must be non-negative or null")
+        grid_key = "distances" if self.distances else "rayleigh_fracs"
         low, high = self.channel.angle_range
-        if not -1.0 <= low <= high <= 1.0:
-            raise ConfigurationError("config key 'channel.angle_range': must satisfy -1 <= low <= high <= 1")
+        if not low <= high:
+            raise ConfigurationError("config key 'channel.angle_range': must satisfy low <= high")
+        # every other rule is checked by the library object or function that owns it
+        keys = {
+            "subcarrier_count": "subcarriers.count", "frequencies": "subcarriers.spacing_hz",
+            "center_angle": "channel.angle_range", "center_distance": grid_key, "distances": grid_key,
+            "distance_spread": "channel.distance_spread_frac", "subpath_count": "channel.paths_per_user",
+            "num_antennas": "precoding.num_rx_antennas",
+        }
+        array, d, pre = self.array, self.dictionary, self.precoding
+        grid = _build(keys, SubcarrierGrid, self.subcarrier_count, array.carrier_freq, self.subcarrier_spacing)
+        for r in self.distance_grid:
+            for angle in (low, high):
+                _build(keys, self.channel.cluster, angle, r)
+        _build(keys, check_profile, self.distance_grid, self.partition.eta, self.partition.trials)
+        # a null tolerance (matched to each SNR) is checked as 0
+        _build(keys, RecoveryConfig, self.recovery.max_blocks, self.recovery.residual_tolerance or 0.0)
+        si = _build(keys, SideInformation, decay_floor=self.side_information.decay_floor)
+        _build(keys, angular_partition, array, d.oversampling, d.block_length)
+        # at endfire (angle 1) the ring set is empty: only the beta and r_min checks run
+        _build(keys, polar_ring_distances, array, d.beta, d.r_min, 1.0)
+        rx_array = _build(keys, ArrayConfig, pre.num_rx_antennas, array.carrier_freq)
+        _build(keys, check_counts, pre.num_streams, array.num_antennas, pre.num_rx_antennas,
+               pre.num_rf_chains, d.block_length)
+        # kept for the sweeps, outside the frozen fields
+        self.__dict__.update(subcarrier_grid=grid, side_info=si, rx_array=rx_array)
 
     @property
     def distance_grid(self) -> tuple:
@@ -215,7 +238,7 @@ class ExperimentConfig:
                     for g in fields(default)
                     if g.default is MISSING and g.default_factory is MISSING
                 }
-                top[f.name] = type(default)(**{**required, **values[f.name]})
+                top[f.name] = _build({}, type(default), **{**required, **values[f.name]})
         return cls(**top)
 
 
@@ -234,6 +257,19 @@ def _schema(cls) -> dict:
         for path, hint in paths.items():
             schema[_YAML_NAMES.get(path, path)] = (path, hint)
     return schema
+
+
+def _build(keys: Mapping, owner, *args, **kwargs):
+    """owner(*args, **kwargs), its ValueError re-raised as a ConfigurationError
+    naming the config key of the value at fault. An owner's message starts
+    with that value's name: its key is keys[name], else the key of the
+    section field of that name."""
+    try:
+        return owner(*args, **kwargs)
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        named = (key for key, (path, _) in _schema(ExperimentConfig).items() if path.endswith(f".{name}"))
+        raise ConfigurationError(f"config key {keys.get(name) or next(named, name)!r}: {exc}") from None
 
 
 def _coerce(key: str, hint, value):
@@ -313,13 +349,12 @@ class Workbench:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.grid = SubcarrierGrid(cfg.subcarrier_count, cfg.array.carrier_freq, cfg.subcarrier_spacing)
         self.pilot = _pilot(cfg)
         self.angular, self.polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
         self.mm_angular = measurement_matrix(self.pilot, self.angular)
         self.mm_polar = measurement_matrix(self.pilot, self.polar)
         self.polar_atom_partition = BlockPartition.uniform(self.polar.num_atoms, 1)
-        self.si = SideInformation(decay_floor=cfg.side_information.decay_floor)
+        self.si = cfg.side_info
 
     def residual_tolerance(self, snr_db: float) -> float:
         tol = self.cfg.recovery.residual_tolerance
@@ -332,17 +367,9 @@ class Workbench:
     def draw_channel(self, distance: float, d_idx: int, trial: int, user: int):
         cfg = self.cfg
         rng = np.random.default_rng(_child_seed(cfg.seed, 1, d_idx, trial, user))
-        angle = rng.uniform(*cfg.channel.angle_range)
-        cluster = ClusterSpec(
-            center_angle=float(angle),
-            center_distance=distance,
-            angle_spread=cfg.channel.angle_spread,
-            distance_spread=cfg.channel.distance_spread_frac * distance,
-            subpath_count=cfg.channel.paths_per_user,
-            power_decay_rate=cfg.channel.power_decay_rate,
-        )
+        cluster = cfg.channel.cluster(float(rng.uniform(*cfg.channel.angle_range)), distance)
         return synthesize_channel(
-            cfg.array, [cluster], self.grid, _child_seed(cfg.seed, 2, d_idx, trial, user)
+            cfg.array, [cluster], cfg.subcarrier_grid, _child_seed(cfg.seed, 2, d_idx, trial, user)
         )
 
     def estimate(self, method: str, obs) -> np.ndarray:
@@ -435,7 +462,6 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
     pre = cfg.precoding
     distance = cfg.distance_grid[0]
     angular, polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
-    rx_array = ArrayConfig(pre.num_rx_antennas, cfg.array.carrier_freq)
 
     def trial_values(s_idx, snr_db, trial):
         rng = np.random.default_rng(_child_seed(cfg.seed, 4, s_idx, trial))
@@ -446,7 +472,7 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
             gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
             paths.append(PathParam(float(rng.uniform(*cfg.channel.angle_range)), float(r), complex(gain)))
             rx_angles.append(float(rng.uniform(-1, 1)))
-        channel = MatrixChannel(synthesize_matrix_channel(cfg.array, rx_array, paths, rx_angles))
+        channel = MatrixChannel(synthesize_matrix_channel(cfg.array, cfg.rx_array, paths, rx_angles))
         f_opt = optimal_precoder(channel, pre.num_streams)
         values = {"optimal": spectral_efficiency(channel, f_opt, snr_db).spectral_efficiency}
         for name, dictionary in (("hybrid_angular", angular), ("hybrid_polar", polar)):

@@ -48,11 +48,11 @@ class ArrayConfig:
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be at least 1")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be positive")
+        if not 0 < self.carrier_freq < np.inf:  # also rejects nan
+            raise ValueError("carrier_freq must be positive and finite")
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
-        if self.element_spacing <= 0:
+        if not self.element_spacing > 0:
             raise ValueError("element_spacing must be positive")
 
     @property
@@ -104,13 +104,15 @@ class ClusterSpec:
     def __post_init__(self):
         if not abs(self.center_angle) <= 1:
             raise ValueError("center_angle must lie in [-1, 1]")
-        if self.center_distance <= 0:
-            raise ValueError("center_distance must be positive")
-        if self.angle_spread < 0 or self.distance_spread < 0:
-            raise ValueError("spreads must be non-negative")
+        if not 0 < self.center_distance < np.inf:  # also rejects nan
+            raise ValueError("center_distance must be positive and finite")
+        if not self.angle_spread >= 0:
+            raise ValueError("angle_spread must be non-negative")
+        if not self.distance_spread >= 0:
+            raise ValueError("distance_spread must be non-negative")
         if self.subpath_count < 1:
             raise ValueError("subpath_count must be at least 1")
-        if self.power_decay_rate < 0:
+        if not self.power_decay_rate >= 0:
             raise ValueError("power_decay_rate must be non-negative")
 
 
@@ -125,8 +127,8 @@ class SubcarrierGrid:
     def __post_init__(self):
         if self.subcarrier_count < 1:
             raise ValueError("subcarrier_count must be at least 1")
-        if np.any(self.frequencies <= 0):
-            raise ValueError("all subcarrier frequencies must be positive")
+        if not (np.isfinite(self.spacing) and np.isfinite(self.center_freq) and np.all(self.frequencies > 0)):
+            raise ValueError("frequencies must be finite and positive")
 
     @property
     def frequencies(self) -> np.ndarray:

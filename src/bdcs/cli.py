@@ -19,6 +19,7 @@ from .bench import (
     run_se_vs_snr,
 )
 from .dictionaries import block_metrics, coherence, export_metadata_csv
+from .errors import ConfigurationError
 from .partition import partition_boundary, sparsity_profile, sparsity_upper_limit
 from .sensing import measurement_matrix
 
@@ -28,10 +29,11 @@ def _load(config_path, seed, trials) -> ExperimentConfig:
     if config_path:
         with open(config_path) as fh:
             raw = yaml.safe_load(fh) or {}
-    overrides = {"seed": seed, "trials": trials}
-    return replace(
-        ExperimentConfig.from_dict(raw), **{k: v for k, v in overrides.items() if v is not None}
-    )
+    overrides = {k: v for k, v in {"seed": seed, "trials": trials}.items() if v is not None}
+    try:
+        return replace(ExperimentConfig.from_dict(raw), **overrides)
+    except ConfigurationError as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 def _common(fn):

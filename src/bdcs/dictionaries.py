@@ -176,17 +176,26 @@ def build_angular_dictionary(
     G = oversampling * N; adjacent angles are grouped into blocks of
     ``block_length`` (which must divide G).
     """
-    if oversampling < 1:
-        raise ValueError("oversampling must be at least 1")
-    g = oversampling * array.num_antennas
-    partition = BlockPartition.uniform(g, block_length)
+    partition = angular_partition(array, oversampling, block_length)
+    g = partition.size
     angles = (2.0 * np.arange(g) - g + 1) / g
     atoms = steering_far(array, angles)
     return Dictionary(atoms, angles, np.full(g, np.inf), partition, domain="angular")
 
 
+def angular_partition(array: ArrayConfig, oversampling: int = 1, block_length: int = 1) -> BlockPartition:
+    """Blocks of ``block_length`` over the G = oversampling * N angular columns."""
+    if oversampling < 1:
+        raise ValueError("oversampling must be at least 1")
+    return BlockPartition.uniform(oversampling * array.num_antennas, block_length)
+
+
 def polar_ring_distances(array: ArrayConfig, beta: float, r_min: float, spatial_angle: float) -> np.ndarray:
     """Near-field ring distances Z/s, s = 1, 2, ... down to r_min, far to near."""
+    if not beta > 0:  # also rejects nan
+        raise ValueError("beta must be positive")
+    if not r_min > 0:
+        raise ValueError("r_min must be positive")
     z = (
         array.num_antennas**2
         * array.element_spacing**2
@@ -212,10 +221,6 @@ def build_polar_dictionary(
     Larger beta or r_min prune rings; if no angle keeps a ring the grid
     degenerates to the far-field-only N columns and a warning is issued.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if r_min <= 0:
-        raise ValueError("r_min must be positive")
     if block_length < 1:
         raise ValueError("block_length must be at least 1")
     n = array.num_antennas

@@ -54,6 +54,17 @@ class SparsityProfile:
                 writer.writerow([f"{r:.10g}", taps, f"{mean:.6f}", f"{self.eta:.6g}"])
 
 
+def check_profile(distance_grid: Sequence[float], eta: float, trials: int) -> None:
+    """The rule on sparsity_profile's inputs: distinct distances, eta in
+    (0, 1) and at least one trial."""
+    if not 0 < len(set(distance_grid)) == len(distance_grid):
+        raise ValueError("distances must be non-empty and distinct")
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def sparsity_profile(
     array: ArrayConfig,
     angular_dict: Dictionary,
@@ -69,11 +80,8 @@ def sparsity_profile(
     projected onto the dictionary; blocks are counted greedily from the
     strongest down. Deterministic in the seed.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    check_profile(distance_grid, eta, trials)
     distances = sorted(float(r) for r in distance_grid)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
 
     rng = np.random.default_rng(seed)
     atoms = angular_dict.atoms

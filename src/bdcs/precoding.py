@@ -53,8 +53,7 @@ class PrecoderPair:
         n_rf_b, n_s = self.f_bb.shape
         if n_rf != n_rf_b:
             raise ValueError("F_RF and F_BB dimensions do not chain")
-        if not n_s <= n_rf <= n_t:
-            raise ValueError("stream/chain/antenna counts must satisfy N_s <= N_RF <= N_t")
+        check_counts(n_s, n_t, num_rf_chains=n_rf)
         target = 1.0 / np.sqrt(n_t)
         if np.any(np.abs(np.abs(self.f_rf) - target) > 1e-10):
             raise ValueError("every F_RF entry must have modulus 1/sqrt(N_t)")
@@ -86,10 +85,23 @@ class SEReport:
             raise ValueError("spectral efficiency must be non-negative")
 
 
+def check_counts(num_streams: int, num_tx: int, num_rx: Optional[int] = None,
+                 num_rf_chains: Optional[int] = None, block_length: Optional[int] = None) -> None:
+    """The count rules of precoding, for the counts given: 1 <= N_s <= N_t and
+    N_s <= N_r (optimal_precoder), N_s <= N_RF <= N_t (PrecoderPair and
+    block_sparse_precoding), and a uniform block length (None: blocks vary)
+    that divides N_RF."""
+    if not 1 <= num_streams <= min(num_tx, num_tx if num_rx is None else num_rx):
+        raise ValueError("num_streams must satisfy 1 <= N_s <= min(N_r, N_t)")
+    if num_rf_chains is not None and not num_streams <= num_rf_chains <= num_tx:
+        raise ValueError("num_rf_chains must satisfy N_s <= N_RF <= N_t")
+    if block_length is not None and num_rf_chains % block_length != 0:
+        raise ConfigurationError("num_rf_chains must be a multiple of the block length")
+
+
 def optimal_precoder(channel: MatrixChannel, num_streams: int) -> np.ndarray:
     """Top right-singular vectors of H, orthonormal columns, N_t x N_s."""
-    if num_streams < 1 or num_streams > min(channel.num_rx, channel.num_tx):
-        raise ValueError("num_streams must satisfy 1 <= N_s <= min(N_r, N_t)")
+    check_counts(num_streams, channel.num_tx, channel.num_rx)
     _, _, vh = np.linalg.svd(channel.matrix, full_matrices=False)
     return vh[:num_streams].conj().T
 
@@ -117,9 +129,7 @@ def block_sparse_precoding(
     if dictionary.num_antennas != n_t:
         raise ValueError("dictionary atom length must match the precoder rows")
     partition = cfg.partition if cfg is not None and cfg.partition is not None else dictionary.partition
-    uniform = partition.uniform_length
-    if uniform is not None and num_rf_chains % uniform != 0:
-        raise ConfigurationError("the block length must divide the RF chain count")
+    check_counts(n_s, n_t, num_rf_chains=num_rf_chains, block_length=partition.uniform_length)
     tol = cfg.residual_tolerance if cfg is not None else 1e-10
     max_blocks = cfg.max_blocks if cfg is not None else partition.num_blocks
     target_mod = 1.0 / np.sqrt(n_t)

@@ -17,6 +17,8 @@ from bdcs.bench import (
     ExperimentConfig,
     RecoverySettings,
     Workbench,
+    _coerce,
+    _schema,
     run_nmse_vs_distance,
     run_nmse_vs_snr,
     run_se_vs_snr,
@@ -172,6 +174,117 @@ class TestConfig:
 
         rd = rayleigh_distance(cfg.array)
         assert cfg.distance_grid == (0.5 * rd, rd)
+
+
+NAN = float("nan")
+
+# One or more out-of-range values for every config key, as (key, raw config).
+OUT_OF_RANGE = [
+    ("array.num_antennas", {"array": {"num_antennas": 0}}),
+    ("array.carrier_freq_hz", {"array": {"carrier_freq_hz": NAN}}),
+    ("array.carrier_freq_hz", {"array": {"carrier_freq_hz": -30e9}}),
+    ("array.carrier_freq_hz", {"array": {"carrier_freq_hz": float("inf"), "element_spacing_m": 0.005}}),
+    ("array.element_spacing_m", {"array": {"element_spacing_m": NAN}}),
+    ("array.element_spacing_m", {"array": {"element_spacing_m": 0.0}}),
+    ("subcarriers.count", {"subcarriers": {"count": 0}}),
+    ("subcarriers.spacing_hz", {"subcarriers": {"spacing_hz": NAN}}),
+    ("subcarriers.spacing_hz", {"subcarriers": {"count": 3, "spacing_hz": float("inf")}}),
+    ("subcarriers.spacing_hz", {"subcarriers": {"spacing_hz": 1e11}}),  # a negative frequency
+    ("channel.num_users", {"channel": {"num_users": 0}}),
+    ("channel.paths_per_user", {"channel": {"paths_per_user": 0}}),
+    ("channel.angle_spread", {"channel": {"angle_spread": -0.1}}),
+    ("channel.angle_spread", {"channel": {"angle_spread": NAN}}),
+    ("channel.distance_spread_frac", {"channel": {"distance_spread_frac": -0.1}}),
+    ("channel.distance_spread_frac", {"channel": {"distance_spread_frac": NAN}}),
+    ("channel.power_decay_rate", {"channel": {"power_decay_rate": -1.0}}),
+    ("channel.power_decay_rate", {"channel": {"power_decay_rate": NAN}}),
+    ("channel.angle_range", {"channel": {"angle_range": [-2.0, 2.0]}}),
+    ("channel.angle_range", {"channel": {"angle_range": [0.9, -0.9]}}),
+    ("channel.angle_range", {"channel": {"angle_range": [NAN, 0.5]}}),
+    ("pilot.fraction", {"pilot": {"fraction": 0.0}}),
+    ("snr_db", {"snr_db": []}),
+    ("distances", {"distances": [5.0, 5.0]}),
+    ("distances", {"distances": [10.0, -2.0]}),
+    ("distances", {"distances": [float("inf")]}),
+    ("rayleigh_fracs", {"rayleigh_fracs": []}),
+    ("rayleigh_fracs", {"rayleigh_fracs": [0.5, 0.5]}),
+    ("rayleigh_fracs", {"rayleigh_fracs": [NAN]}),
+    ("methods", {"methods": []}),
+    ("methods", {"methods": ["ls", "bogus"]}),
+    ("trials", {"trials": 0}),
+    ("seed", {"seed": -1}),
+    ("dictionary.oversampling", {"dictionary": {"oversampling": 0}}),
+    ("dictionary.block_length", {"dictionary": {"block_length": 0}}),
+    ("dictionary.block_length", {"dictionary": {"block_length": 3}}),  # does not divide 256
+    ("dictionary.beta", {"dictionary": {"beta": -1.0}}),
+    ("dictionary.beta", {"dictionary": {"beta": NAN}}),
+    ("dictionary.r_min_m", {"dictionary": {"r_min_m": 0.0}}),
+    ("dictionary.r_min_m", {"dictionary": {"r_min_m": NAN}}),
+    ("recovery.max_blocks", {"recovery": {"max_blocks": 0}}),
+    ("recovery.residual_tolerance", {"recovery": {"residual_tolerance": -0.1}}),
+    ("recovery.residual_tolerance", {"recovery": {"residual_tolerance": NAN}}),
+    ("side_information.decay_floor", {"side_information": {"decay_floor": 2.0}}),
+    ("side_information.decay_floor", {"side_information": {"decay_floor": NAN}}),
+    ("precoding.num_rx_antennas", {"precoding": {"num_rx_antennas": 0}}),
+    ("precoding.num_streams", {"precoding": {"num_streams": 9}}),
+    ("precoding.num_streams", {"precoding": {"num_streams": 0}}),
+    ("precoding.num_rf_chains", {"precoding": {"num_streams": 3, "num_rf_chains": 2}}),
+    ("precoding.num_rf_chains", {"precoding": {"num_rf_chains": 0}}),
+    ("precoding.num_rf_chains", {"precoding": {"num_rf_chains": 6}}),  # block length 4 does not divide 6
+    ("precoding.num_rf_chains", {"precoding": {"num_rf_chains": 512}}),  # more chains than antennas
+    ("partition.eta", {"partition": {"eta": 1.5}}),
+    ("partition.eta", {"partition": {"eta": NAN}}),
+    ("partition.trials", {"partition": {"trials": 0}}),
+]
+
+
+def _replace_changes(raw):
+    """The dataclasses.replace arguments that set the values of a raw config."""
+    schema, changes = _schema(ExperimentConfig), {}
+    for section, entries in raw.items():
+        for name, value in (entries.items() if isinstance(entries, dict) else [(None, entries)]):
+            key = f"{section}.{name}" if name else section
+            path, hint = schema[key]
+            parent, _, field_name = path.rpartition(".")
+            value = _coerce(key, hint, value)
+            if parent:
+                base = changes.get(parent, getattr(ExperimentConfig(), parent))
+                changes[parent] = replace(base, **{field_name: value})
+            else:
+                changes[field_name] = value
+    return changes
+
+
+class TestEveryKeyChecked:
+    def test_every_schema_key_has_a_row(self):
+        assert {key for key, _ in OUT_OF_RANGE} == set(_schema(ExperimentConfig))
+
+    @pytest.mark.parametrize("key, raw", OUT_OF_RANGE)
+    def test_out_of_range_value_names_its_key(self, key, raw):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ExperimentConfig.from_dict(raw)
+        if key.startswith("array."):
+            return  # ArrayConfig refuses these values before replace could run
+        changes = _replace_changes(raw)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            replace(ExperimentConfig(), **changes)
+
+    def test_load_builds_no_dictionary_pilot_or_measurement(self, monkeypatch):
+        import bdcs.bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a config computes nothing a sweep computes")
+
+        for name in ("build_angular_dictionary", "build_polar_dictionary", "make_pilot_matrix",
+                     "measurement_matrix", "synthesize_channel"):
+            monkeypatch.setattr(bdcs.bench, name, refuse)
+        ExperimentConfig.from_dict({})
+
+    def test_sweep_reuses_the_owner_objects_of_the_config(self):
+        cfg = tiny_config(side_information={"decay_floor": 0.1})
+        bench = Workbench(cfg)
+        assert bench.si is cfg.side_info
+        assert cfg.rx_array.num_antennas == cfg.precoding.num_rx_antennas
 
 
 class TestNmseDistance:

@@ -226,6 +226,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             SubcarrierGrid(8, 100.0, 1e9)
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: ArrayConfig(4, np.nan), "carrier_freq"),
+            (lambda: ArrayConfig(4, np.inf, 0.005), "carrier_freq"),
+            (lambda: ArrayConfig(4, 30e9, np.nan), "element_spacing"),
+            (lambda: ClusterSpec(0.0, np.nan), "center_distance"),
+            (lambda: ClusterSpec(0.0, 10.0, angle_spread=np.nan), "angle_spread"),
+            (lambda: ClusterSpec(0.0, 10.0, distance_spread=np.nan), "distance_spread"),
+            (lambda: ClusterSpec(0.0, 10.0, power_decay_rate=np.nan), "power_decay_rate"),
+            (lambda: ClusterSpec(0.0, np.inf), "center_distance"),
+            (lambda: SubcarrierGrid(4, np.nan, 240e3), "frequencies"),
+            (lambda: SubcarrierGrid(4, np.inf, 240e3), "frequencies"),
+            (lambda: SubcarrierGrid(4, 30e9, np.nan), "frequencies"),
+            (lambda: SubcarrierGrid(1, 30e9, np.inf), "frequencies"),
+        ],
+    )
+    def test_nan_refused_naming_the_value(self, build, name):
+        # a message starts with the value at fault, which the config boundary reads
+        with pytest.raises(ValueError, match=f"^{name} "):
+            build()
+
     def test_array_defaults_to_half_wavelength(self):
         arr = ArrayConfig(4, 30e9)
         assert abs(arr.element_spacing - arr.wavelength / 2) < 1e-15

@@ -144,4 +144,12 @@ def test_unknown_config_key_fails(tmp_path):
     cfg = write_config(tmp_path, {"trails": 3})
     result = CliRunner().invoke(main, ["nmse-distance", "--config", str(cfg)])
     assert result.exit_code != 0
-    assert "trails" in str(result.exception)
+    assert "trails" in result.output
+
+
+def test_bad_config_value_is_one_error_line(tmp_path):
+    cfg = write_config(tmp_path, {"partition": {"eta": 1.5}})
+    result = CliRunner().invoke(main, ["partition", "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert result.output.startswith("Error: config key 'partition.eta'")
+    assert "Traceback" not in result.output and len(result.output.splitlines()) == 1

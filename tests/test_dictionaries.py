@@ -17,6 +17,7 @@ from bdcs import (
     export_metadata_csv,
     steering,
 )
+from bdcs.dictionaries import angular_partition, polar_ring_distances
 from helpers import random_dictionary
 
 
@@ -74,6 +75,13 @@ class TestAngularDictionary:
         assert d.partition.num_blocks == 64
         assert d.partition.size == 256
         assert d.partition.uniform_length == 4
+
+    def test_partition_is_the_dictionary_partition(self):
+        arr = ArrayConfig(16, 30e9)
+        partition = angular_partition(arr, 2, 4)
+        assert np.array_equal(partition.lengths, build_angular_dictionary(arr, 2, 4).partition.lengths)
+        with pytest.raises(ValueError, match="^oversampling"):
+            angular_partition(arr, 0, 4)
 
     def test_non_divisible_block_length(self):
         with pytest.raises(ConfigurationError):
@@ -143,6 +151,23 @@ class TestPolarDictionary:
             build_polar_dictionary(arr, beta=0.0)
         with pytest.raises(ValueError):
             build_polar_dictionary(arr, r_min=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"beta": np.nan}, "beta"),
+            ({"beta": -1.0}, "beta"),
+            ({"r_min": np.nan}, "r_min"),
+            ({"r_min": 0.0}, "r_min"),
+        ],
+    )
+    def test_ring_parameters_refused_naming_the_argument(self, kwargs, name):
+        arr = ArrayConfig(8, 30e9)
+        args = {"beta": 1.15, "r_min": 5.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            polar_ring_distances(arr, args["beta"], args["r_min"], 0.0)
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            build_polar_dictionary(arr, **args)
 
 
 class TestCoherence:

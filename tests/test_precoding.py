@@ -144,6 +144,20 @@ class TestBlockSparsePrecoding:
         with pytest.raises(ConfigurationError):
             block_sparse_precoding(f_opt, d, 6)
 
+    @pytest.mark.parametrize("num_rf_chains", [0, 1, 33])  # none, fewer than N_s = 2, more than N_t
+    def test_chain_count_refused_before_the_kernel(self, num_rf_chains, monkeypatch):
+        import bdcs.precoding
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the greedy kernel ran")
+
+        rng = np.random.default_rng(15)
+        d = build_angular_dictionary(ArrayConfig(32, 30e9), 1, 1)
+        f_opt = optimal_precoder(random_nf_channel(rng, n_t=32), 2)
+        monkeypatch.setattr(bdcs.precoding, "_greedy_blocks", refuse)
+        with pytest.raises(ValueError, match="^num_rf_chains must satisfy N_s <= N_RF <= N_t"):
+            block_sparse_precoding(f_opt, d, num_rf_chains)
+
     @pytest.mark.parametrize("seed", [38, 101])
     def test_skips_blocks_wider_than_the_chains_left(self, seed):
         # 3 chains over blocks of 1, 3, 1, 3 columns: once one narrow block
