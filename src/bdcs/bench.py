@@ -42,10 +42,11 @@ from .dictionaries import (
 from .errors import ConfigurationError
 from .partition import check_profile, complete_bdcs
 from .precoding import MatrixChannel, block_sparse_precoding, check_counts, optimal_precoder, spectral_efficiency
-from .recovery import RecoveryConfig, SideInformation, bsomp, ls_estimate, nmse
+from .recovery import RecoveryConfig, SideInformation, bsomp, bsomp_batch, ls_estimate, nmse
 from .sensing import make_pilot_matrix, measurement_matrix, observe
 
-VALID_METHODS = ("ls", "somp_polar", "bsomp_angular", "bsomp_polar", "complete_bdcs")
+_PURSUITS = ("somp_polar", "bsomp_angular", "bsomp_polar")
+VALID_METHODS = ("ls", *_PURSUITS, "complete_bdcs")
 
 DEFAULT_RAYLEIGH_FRACS = (0.05, 0.07, 0.1, 0.15, 0.25, 0.4, 0.6, 0.8, 1.0, 1.2)
 
@@ -137,8 +138,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigurationError("config key 'trials': must be at least 1")
-        if not self.methods or not set(self.methods) <= set(VALID_METHODS):
-            raise ConfigurationError(f"config key 'methods': must be a non-empty subset of {VALID_METHODS}")
+        methods = set(self.methods)
+        if not methods <= set(VALID_METHODS) or not 0 < len(methods) == len(self.methods):
+            raise ConfigurationError(
+                f"config key 'methods': must be a non-empty subset of {VALID_METHODS}, each named once"
+            )
         if not (len(self.snr_db) and all(np.isfinite(s) or np.isposinf(s) for s in self.snr_db)):
             raise ConfigurationError("config key 'snr_db': must be non-empty with entries finite or +inf")
         if self.seed < 0:
@@ -372,26 +376,28 @@ class Workbench:
             cfg.array, [cluster], cfg.subcarrier_grid, _child_seed(cfg.seed, 2, d_idx, trial, user)
         )
 
+    def pursuit(self, kind: str, tol: float):
+        """Measurement matrix and recovery config of one pursuit kind
+        (somp_polar, bsomp_angular or bsomp_polar) at residual tolerance tol."""
+        blocks = self.cfg.recovery.max_blocks
+        if kind == "somp_polar":
+            cfg = RecoveryConfig(blocks * self.cfg.dictionary.block_length, tol, self.polar_atom_partition)
+            return self.mm_polar, cfg
+        return (self.mm_angular if kind == "bsomp_angular" else self.mm_polar), RecoveryConfig(blocks, tol)
+
     def estimate(self, method: str, obs) -> np.ndarray:
         tol = self.residual_tolerance(obs.snr_db)
-        blocks = self.cfg.recovery.max_blocks
         if method == "ls":
             return ls_estimate(self.pilot, obs)
-        if method == "somp_polar":
-            cfg = RecoveryConfig(
-                blocks * self.cfg.dictionary.block_length, tol, self.polar_atom_partition
-            )
-            return bsomp(self.mm_polar, obs, cfg, self.si).reconstructed_channels
-        if method == "bsomp_angular":
-            return bsomp(self.mm_angular, obs, RecoveryConfig(blocks, tol), self.si).reconstructed_channels
-        if method == "bsomp_polar":
-            return bsomp(self.mm_polar, obs, RecoveryConfig(blocks, tol), self.si).reconstructed_channels
+        if method in _PURSUITS:
+            measurement, recovery_cfg = self.pursuit(method, tol)
+            return bsomp(measurement, obs, recovery_cfg, self.si).reconstructed_channels
         if method == "complete_bdcs":
             result = complete_bdcs(
                 obs,
                 self.mm_angular,
                 self.mm_polar,
-                RecoveryConfig(blocks, tol),
+                RecoveryConfig(self.cfg.recovery.max_blocks, tol),
                 routing="by_residual",
                 si=self.si,
             )
@@ -400,16 +406,26 @@ class Workbench:
 
     def nmse_trial(self, idx: int, trial: int, distance: float, snr_db: float) -> dict:
         """Per method, the NMSE in dB of one trial, averaged over its users.
-        ``idx`` is the sweep index that keys the channel and noise seeds."""
+        ``idx`` is the sweep index that keys the channel and noise seeds.
+
+        Every pursuit the methods need runs once over all users, in lockstep
+        (``bsomp_batch``); ``estimate`` then gets each stored result."""
         cfg = self.cfg
-        per_user = {m: [] for m in cfg.methods}
+        observations, truths = [], []
         for user in range(cfg.channel.num_users):
             channel = self.draw_channel(distance, idx, trial, user)
-            obs = observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user))
-            truth = channel.per_subcarrier_channels
-            for m in cfg.methods:
-                per_user[m].append(nmse(self.estimate(m, obs), truth))
-        return {m: float(np.mean(values)) for m, values in per_user.items()}
+            observations.append(observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user)))
+            truths.append(channel.per_subcarrier_channels)
+        routed = ("bsomp_angular", "bsomp_polar") if "complete_bdcs" in cfg.methods else ()
+        tol = self.residual_tolerance(snr_db)
+        for kind in _PURSUITS:
+            if kind in cfg.methods or kind in routed:
+                measurement, recovery_cfg = self.pursuit(kind, tol)
+                bsomp_batch(measurement, observations, recovery_cfg, self.si)
+        return {
+            m: float(np.mean([nmse(self.estimate(m, obs), truth) for obs, truth in zip(observations, truths)]))
+            for m in cfg.methods
+        }
 
 
 def _sweep(cfg: ExperimentConfig, xs, labels, trial_values, out_path) -> list:

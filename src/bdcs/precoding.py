@@ -140,9 +140,9 @@ def block_sparse_precoding(
         return projected[-1]
 
     _, _, f_bb, _ = _greedy_blocks(
-        dictionary.atoms, f_opt, partition, max_blocks, tol, column_map=phase_projection,
+        dictionary.atoms, f_opt[None], partition, max_blocks, tol, column_map=phase_projection,
         max_columns=num_rf_chains, screen=dictionary.single_precision,
-    )
+    )[0]
     f_rf = np.hstack(projected) if projected else np.empty((n_t, 0))
 
     combined_norm = float(np.linalg.norm(f_rf @ f_bb))

@@ -15,8 +15,11 @@ separate from the best are rescored in float64, so the selection, and with
 it every float64 coefficient and residual, is that of float64 scores; exact
 scores within a relative 1e-12 tie to the lowest block index. The loop also
 stops at a relative residual of 1e-12, where scores are rounding noise.
-bsomp() stores each result on its observation, so a repeated pursuit returns
-it without running again. A least-squares baseline and the NMSE metric live
+bsomp_batch() runs the pursuits of several observations over one measurement
+matrix in lockstep, one correlation product per step for all of them, and
+each gets the result it would get alone; bsomp() is its batch of one. Each
+result is stored on its observation, so a repeated pursuit returns it
+without running again. A least-squares baseline and the NMSE metric live
 here as well.
 """
 
@@ -145,13 +148,91 @@ def _support_coefficients(t: np.ndarray, qy: np.ndarray, rank: int, width: int) 
     return np.linalg.lstsq(t[:rank, :width], qy[:rank], rcond=None)[0]
 
 
+class _Pursuit:
+    """One target's float64 state in the lockstep loop of ``_greedy_blocks``:
+    the basis Q T with Q^H target beside it, the residual and its history,
+    the selected blocks, and the bound on its screened correlation's error."""
+
+    def __init__(self, target: np.ndarray, width: int, dtype):
+        m, s = target.shape
+        self.target = target
+        self.total = float(np.linalg.norm(target))
+        self.q = np.empty((m, min(m, width)), dtype=dtype)
+        self.qh = np.empty((self.q.shape[1], m), dtype=dtype)  # Q^H, row by row
+        self.t = np.zeros((self.q.shape[1], width), dtype=dtype)
+        self.qy = np.empty((self.q.shape[1], s), dtype=dtype)
+        self.residual = target
+        self.selected, self.cols, self.history = [], [], [1.0]
+        self.rank = self.used = self.new_rank = 0
+        self.err = _dot_error(m)
+        self.decayed = False
+
+    def extend(self, near, columns, partition, weights, decay_floor, column_map) -> bool:
+        """Select the best block among ``near``, rescoring the candidates in
+        float64 when there are several, and add its columns to the basis and
+        its directions to the residual. Returns False when the decay rule
+        discards the block."""
+        lengths = partition.lengths
+        block = int(np.argmax(near))
+        if np.count_nonzero(near) > 1:
+            picked = np.flatnonzero(near)
+            exact = self.residual.conj().T @ columns[:, np.flatnonzero(np.repeat(near, lengths))]
+            exact = np.add.reduceat(
+                np.sum(exact.real ** 2 + exact.imag ** 2, axis=0),
+                np.cumsum(lengths[picked]) - lengths[picked],
+            )
+            if weights is not None:
+                exact *= weights[picked]
+            block = int(picked[np.argmax(exact >= exact.max() * (1.0 - _TIE))])
+
+        block_slice = partition.block_slice(block)
+        new_cols = columns[:, block_slice]
+        if column_map is not None:
+            new_cols = column_map(new_cols)
+        q, qh, t, qy, rank, used = self.q, self.qh, self.t, self.qy, self.rank, self.used
+        start = rank
+        for j in range(new_cols.shape[1]):
+            a = new_cols[:, j]
+            h = qh[:rank] @ a
+            v = a - q[:, :rank] @ h
+            h2 = qh[:rank] @ v
+            v -= q[:, :rank] @ h2
+            t[:rank, used + j] = h + h2
+            norm = np.vdot(v, v).real ** 0.5
+            if norm > _DEPENDENT * np.vdot(a, a).real ** 0.5:
+                v /= norm
+                q[:, rank] = v
+                qh[rank] = v.conj()
+                t[rank, used + j] = norm
+                rank += 1
+        qy[start:rank] = qh[start:rank] @ self.target
+
+        if decay_floor is not None and self.selected:
+            trial = _support_coefficients(t, qy, rank, used + new_cols.shape[1])
+            first = trial[: lengths[self.selected[0]]]
+            new = trial[used:]
+            energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
+            if float(np.sum(new.real ** 2 + new.imag ** 2)) < decay_floor * energy_first:
+                self.decayed = True  # decaying-energy stop; the basis keeps its old rank
+                return False
+
+        self.selected.append(block)
+        self.cols.extend(range(*block_slice.indices(columns.shape[1])))
+        self.rank, self.used, self.new_rank = rank, used + new_cols.shape[1], rank - start
+        self.uh, self.uy = qh[start:rank], qy[start:rank]
+        self.residual = self.residual - q[:, start:rank] @ self.uy
+        self.history.append(float(np.linalg.norm(self.residual)) / self.total)
+        return True
+
+
 def _greedy_blocks(
-    columns: np.ndarray, target: np.ndarray, partition: BlockPartition, max_blocks: int,
+    columns: np.ndarray, targets: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
     column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
     screen: Optional[np.ndarray] = None,
-):
-    """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
+) -> list:
+    """Greedy block pursuit of each target of ``targets`` (B, M, S) over the
+    blocks of ``columns`` (M, G), the B pursuits run in lockstep.
 
     Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
     the residual R, and the best unselected block (exact scores within a
@@ -184,131 +265,102 @@ def _greedy_blocks(
     coefficients, the minimum-norm least-squares fit over the basis, solve
     T c = Q^H target; they are solved for the decay rule and once at the end.
 
-    Stops at min(max_blocks, block count) blocks, a relative residual at or
-    below ``tolerance`` or 1e-12, a zero target, or when no unselected block
-    fits ``max_columns``; the candidate is discarded and the loop ends when
-    its coefficient energy falls below ``decay_floor`` times the first
-    block's.
+    Lockstep: each step, the correlation rows of every running pursuit
+    (U^H or (U U^H target)^H) meet the screen in one complex64 product, and
+    the block scores of all come from one einsum, each block summed in
+    float64. Rescoring, Gram-Schmidt, the decay rule and the residual
+    update run per pursuit on its own float64 arrays. The bound e holds for
+    any summation order of the complex64 products, so each pursuit selects,
+    and returns, exactly what it would alone.
 
-    Returns (selected blocks, their column indices, coefficients (C, S),
-    relative residual history starting at 1.0).
+    A pursuit stops at min(max_blocks, block count) blocks, a relative
+    residual at or below ``tolerance`` or 1e-12, a zero target, or when no
+    unselected block fits ``max_columns``; the candidate is discarded and
+    the pursuit ends when its coefficient energy falls below
+    ``decay_floor`` times the first block's.
+
+    Returns per target (selected blocks, their column indices, coefficients
+    (C, S), relative residual history starting at 1.0).
     """
-    m, s = target.shape
+    m, s = targets.shape[1:]
     lengths = partition.lengths
-    budget = min(max_blocks, partition.num_blocks)
-    width = int(np.sort(lengths)[partition.num_blocks - budget:].sum())
+    num_blocks = partition.num_blocks
+    budget = min(max_blocks, num_blocks)
+    width = int(np.sort(lengths)[num_blocks - budget:].sum())
     if max_columns is not None:
         width = min(width, max_columns)
-    dtype = np.result_type(columns, target)
-    q = np.empty((m, min(m, width)), dtype=dtype)
-    qh = np.empty((q.shape[1], m), dtype=dtype)  # Q^H, row by row
-    t = np.zeros((q.shape[1], width), dtype=dtype)
-    qy = np.empty((q.shape[1], s), dtype=dtype)
-    owner = np.repeat(np.arange(partition.num_blocks), 2 * lengths)  # block of each float32 of a row of C
+    dtype = np.result_type(columns, targets)
+    pursuits = [_Pursuit(target, width, dtype) for target in targets]
+    # the score index of each float32 of a row of C: block b of target i is i * num_blocks + b
+    owners = np.repeat(np.arange(len(pursuits) * num_blocks), np.tile(2 * lengths, len(pursuits)))
     score_rounding = 2.0 * _U * (s + 2)  # relative, of the float32 squares and sums over S
 
-    total = float(np.linalg.norm(target))
     stop = max(tolerance, _NOISE_FLOOR)
-    selected: list = []
-    cols: list = []
-    history = [1.0]
-    residual = target
+    live = pursuits  # the running pursuits, in the order of the rows of corr and excluded
+    excluded = np.zeros((len(live), num_blocks), dtype=bool)  # blocks that are not candidates
     corr = None
-    rank = used = new_rank = 0
-    candidates = np.ones(partition.num_blocks, dtype=bool)
-
-    while total > 0.0 and len(selected) < budget and history[-1] > stop:
+    while True:
+        keep = [
+            i for i, p in enumerate(live)
+            if p.total > 0.0 and not p.decayed and len(p.selected) < budget and p.history[-1] > stop
+        ]
         if max_columns is not None:
-            candidates &= lengths <= max_columns - used
-            if not candidates.any():
-                break
-        r = history[-1]
+            for i in keep:
+                excluded[i] |= lengths > max_columns - live[i].used
+            keep = [i for i in keep if not excluded[i].all()]
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live, excluded = [live[i] for i in keep], excluded[keep]
+            if corr is not None:
+                corr = corr[keep]
         if corr is None:
             screen = _single_precision(columns) if screen is None else screen
-            corr = (target.conj().T / total).astype(np.complex64) @ screen  # (S, G)
-            err = _dot_error(m)
-        elif new_rank:
-            w = uy / total
-            w_norm = np.vdot(w, w).real ** 0.5  # bounds every column norm of w
-            if new_rank < s:
-                # np.dot: matmul is several times slower for an inner dimension of 1
-                corr -= np.dot(w.conj().T.astype(np.complex64), uh.astype(np.complex64) @ screen)
-                step = w_norm * (new_rank ** 0.5 * _dot_error(m) + _dot_error(new_rank))
-            else:
-                corr -= (w.conj().T @ uh).astype(np.complex64) @ screen
-                step = w_norm * _dot_error(m)
-            err = (err + step) * (1.0 + _U) + _U * r  # the subtraction rounds too
+            rows = np.concatenate([p.target.conj().T / p.total for p in live], dtype=np.complex64)
+            corr = (rows @ screen).reshape(len(live), s, -1)  # (B, S, G)
+        elif any(p.new_rank for p in live):
+            moved = [(i, p, p.uy / p.total) for i, p in enumerate(live) if p.new_rank]
+            rows = [p.uh if p.new_rank < s else w.conj().T @ p.uh for _, p, w in moved]
+            product = np.concatenate(rows, dtype=np.complex64) @ screen
+            offset = 0
+            for (i, p, w), row in zip(moved, rows):
+                part = product[offset:offset + len(row)]
+                offset += len(row)
+                w_norm = np.vdot(w, w).real ** 0.5  # bounds every column norm of w
+                if p.new_rank < s:
+                    # np.dot: matmul is several times slower for an inner dimension of 1
+                    corr[i] -= np.dot(w.conj().T.astype(np.complex64), part)
+                    step = w_norm * (p.new_rank ** 0.5 * _dot_error(m) + _dot_error(p.new_rank))
+                else:
+                    corr[i] -= part
+                    step = w_norm * _dot_error(m)
+                p.err = (p.err + step) * (1.0 + _U) + _U * p.history[-1]  # the subtraction rounds too
         flat = corr.view(np.float32)
-        score = np.bincount(owner, np.einsum("ij,ij->j", flat, flat), partition.num_blocks)
-        slack = lengths * (2.0 * err * s ** 0.5 * r + s * err ** 2) + score_rounding * score
+        squares = np.einsum("bij,bij->bj", flat, flat)
+        score = np.bincount(owners[:squares.size], squares.ravel(), len(live) * num_blocks)
+        score = score.reshape(len(live), num_blocks)
+        bound = [[2.0 * p.err * s ** 0.5 * p.history[-1] + s * p.err ** 2] for p in live]
+        slack = lengths * np.array(bound) + score_rounding * score
         if weights is not None:
             score, slack = score * weights, slack * weights
-        upper, lower = score + slack, score - slack
-        excluded = ~candidates
-        upper[excluded] = lower[excluded] = -np.inf
-        near = upper >= lower.max() * (1.0 - _TIE)
-        block = int(np.argmax(near))
-        if np.count_nonzero(near) > 1:
-            picked = np.flatnonzero(near)
-            exact = residual.conj().T @ columns[:, np.flatnonzero(np.repeat(near, lengths))]
-            exact = np.add.reduceat(
-                np.sum(exact.real ** 2 + exact.imag ** 2, axis=0),
-                np.cumsum(lengths[picked]) - lengths[picked],
-            )
-            if weights is not None:
-                exact *= weights[picked]
-            block = int(picked[np.argmax(exact >= exact.max() * (1.0 - _TIE))])
+        score[excluded] = -np.inf  # so both bounds are -inf
+        lower = score - slack
+        near = score + slack >= lower.max(axis=1, keepdims=True) * (1.0 - _TIE)
+        for i, p in enumerate(live):
+            if p.extend(near[i], columns, partition, weights, decay_floor, column_map):
+                excluded[i, p.selected[-1]] = True
 
-        block_slice = partition.block_slice(block)
-        new_cols = columns[:, block_slice]
-        if column_map is not None:
-            new_cols = column_map(new_cols)
-        start = rank
-        for j in range(new_cols.shape[1]):
-            a = new_cols[:, j]
-            h = qh[:rank] @ a
-            v = a - q[:, :rank] @ h
-            h2 = qh[:rank] @ v
-            v -= q[:, :rank] @ h2
-            t[:rank, used + j] = h + h2
-            norm = np.vdot(v, v).real ** 0.5
-            if norm > _DEPENDENT * np.vdot(a, a).real ** 0.5:
-                v /= norm
-                q[:, rank] = v
-                qh[rank] = v.conj()
-                t[rank, used + j] = norm
-                rank += 1
-        qy[start:rank] = qh[start:rank] @ target
-
-        if decay_floor is not None and selected:
-            trial = _support_coefficients(t, qy, rank, used + new_cols.shape[1])
-            first = trial[: lengths[selected[0]]]
-            new = trial[used:]
-            energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
-            if float(np.sum(new.real ** 2 + new.imag ** 2)) < decay_floor * energy_first:
-                rank = start
-                break  # decaying-energy stop
-
-        selected.append(block)
-        candidates[block] = False
-        cols.extend(range(*block_slice.indices(columns.shape[1])))
-        used += new_cols.shape[1]
-        new_rank = rank - start
-        uh, uy = qh[start:rank], qy[start:rank]
-        residual = residual - q[:, start:rank] @ uy
-        history.append(float(np.linalg.norm(residual)) / total)
-
-    coef = _support_coefficients(t, qy, rank, used)
-    return selected, cols, coef, history
+    return [(p.selected, p.cols, _support_coefficients(p.t, p.qy, p.rank, p.used), p.history) for p in pursuits]
 
 
-def bsomp(
+def bsomp_batch(
     measurement: MeasurementMatrix,
-    obs: Observation,
+    observations: Sequence[Observation],
     cfg: RecoveryConfig,
     si: Optional[SideInformation] = None,
-) -> RecoveryResult:
-    """Block simultaneous orthogonal matching pursuit.
+) -> tuple[RecoveryResult, ...]:
+    """Block simultaneous orthogonal matching pursuit of each observation,
+    the pursuits over the shared measurement run in lockstep.
 
     Per iteration the score of block b is sum_k ||Phi_b^H r_k||^2 over the
     residuals of all K subcarriers; a single subcarrier reduces this to plain
@@ -321,13 +373,16 @@ def bsomp(
     budget reached, relative residual at or below cfg.residual_tolerance or
     1e-12, or the decay rule from ``si`` fires (the offending block is
     discarded). Blocks are scored through the measurement's cached
-    ``single_precision`` copy (see ``_greedy_blocks``).
+    ``single_precision`` copy, the correlations of all pursuits in one
+    product per step (see ``_greedy_blocks``); each result is the one the
+    observation would get alone. The observations must share one shape.
 
-    Returns dictionary-frame coefficients (measurement column scales undone)
-    and the reconstruction A @ x per subcarrier, both read-only. The result
-    is deterministic in its inputs, so it is stored on ``obs``: a repeated
-    call with the same measurement (by identity), an equal ``cfg`` and an
-    equal ``si`` returns the stored object without running the pursuit.
+    Returns per observation a RecoveryResult with dictionary-frame
+    coefficients (measurement column scales undone) and the reconstruction
+    A @ x per subcarrier, both read-only. A result is deterministic in its
+    inputs, so it is stored on its observation: an observation that already
+    holds a result for the same measurement (by identity), an equal ``cfg``
+    and an equal ``si`` gets the stored object without a pursuit.
     """
     partition = cfg.partition if cfg.partition is not None else measurement.dictionary.partition
     phi = measurement.entries
@@ -344,27 +399,39 @@ def bsomp(
         )
 
     key = (measurement, cfg, si)
-    stored = obs._pursuits.get(key)
-    if stored is not None:
-        return stored
+    todo = [obs for obs in dict.fromkeys(observations) if key not in obs._pursuits]
+    if todo:
+        # each target (Q, K) a transposed view, as a lone observation's
+        targets = np.stack([obs.per_subcarrier for obs in todo]).transpose(0, 2, 1)
+        dictionary = measurement.dictionary
+        runs = _greedy_blocks(
+            phi, targets, partition, cfg.max_blocks, cfg.residual_tolerance,
+            weights=_temporal_weights(partition.num_blocks, si),
+            decay_floor=si.decay_floor if si is not None else None,
+            screen=measurement.single_precision,
+        )
+        for obs, (selected, cols, solution, history) in zip(todo, runs):
+            coefficients = np.zeros((targets.shape[2], phi.shape[1]), dtype=np.complex128)
+            coefficients[:, cols] = solution.T / measurement.column_scales[cols]
+            coefficients.flags.writeable = False
+            result = RecoveryResult(tuple(selected), coefficients, None, tuple(history), domain=dictionary.domain)
+            channels = reconstruct(dictionary, result)
+            channels.flags.writeable = False
+            obs._pursuits[key] = replace(result, reconstructed_channels=channels)
+    return tuple(obs._pursuits[key] for obs in observations)
 
-    y = obs.per_subcarrier.T  # (Q, K)
-    dictionary = measurement.dictionary
-    selected, cols, solution, history = _greedy_blocks(
-        phi, y, partition, cfg.max_blocks, cfg.residual_tolerance,
-        weights=_temporal_weights(partition.num_blocks, si),
-        decay_floor=si.decay_floor if si is not None else None,
-        screen=measurement.single_precision,
-    )
-    coefficients = np.zeros((y.shape[1], phi.shape[1]), dtype=np.complex128)
-    coefficients[:, cols] = solution.T / measurement.column_scales[cols]
-    coefficients.flags.writeable = False
-    result = RecoveryResult(tuple(selected), coefficients, None, tuple(history), domain=dictionary.domain)
-    channels = reconstruct(dictionary, result)
-    channels.flags.writeable = False
-    result = replace(result, reconstructed_channels=channels)
-    obs._pursuits[key] = result
-    return result
+
+def bsomp(
+    measurement: MeasurementMatrix,
+    obs: Observation,
+    cfg: RecoveryConfig,
+    si: Optional[SideInformation] = None,
+) -> RecoveryResult:
+    """Block simultaneous orthogonal matching pursuit of one observation:
+    ``bsomp_batch`` of a batch of one. A repeated call with the same
+    measurement (by identity), an equal ``cfg`` and an equal ``si`` returns
+    the result stored on ``obs`` without running the pursuit."""
+    return bsomp_batch(measurement, (obs,), cfg, si)[0]
 
 
 def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:

@@ -22,16 +22,16 @@ def random_dictionary(rng, num_antennas, num_atoms, block_length):
 
 
 def count_kernel_runs(monkeypatch) -> list:
-    """Wrap the greedy block kernel that bsomp calls so that every run
-    appends to the returned list."""
+    """Wrap the greedy block kernel that bsomp and bsomp_batch call so that
+    every run appends its number of targets to the returned list."""
     import bdcs.recovery
 
     runs = []
     kernel = bdcs.recovery._greedy_blocks
 
-    def counted(*args, **kwargs):
-        runs.append(None)
-        return kernel(*args, **kwargs)
+    def counted(columns, targets, *args, **kwargs):
+        runs.append(len(targets))
+        return kernel(columns, targets, *args, **kwargs)
 
     monkeypatch.setattr(bdcs.recovery, "_greedy_blocks", counted)
     return runs

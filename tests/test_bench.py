@@ -13,6 +13,7 @@ import yaml
 import bdcs
 from bdcs import ConfigurationError
 from bdcs.bench import (
+    VALID_METHODS,
     ChannelSettings,
     ExperimentConfig,
     RecoverySettings,
@@ -24,6 +25,7 @@ from bdcs.bench import (
     run_se_vs_snr,
     write_curve_csv,
 )
+from helpers import count_kernel_runs
 
 TINY = {
     "array": {"num_antennas": 24, "carrier_freq_hz": 30e9},
@@ -134,6 +136,8 @@ class TestConfig:
             ({"rayleigh_fracs": [0.5, 0.0]}, {"rayleigh_fracs": (0.5, 0.0)}, "rayleigh_fracs"),
             ({"rayleigh_fracs": [-0.1]}, {"rayleigh_fracs": (-0.1,)}, "rayleigh_fracs"),
             ({"rayleigh_fracs": [float("nan")]}, {"rayleigh_fracs": (float("nan"),)}, "rayleigh_fracs"),
+            # a repeated method would be estimated and written twice
+            ({"methods": ["ls", "bsomp_polar", "ls"]}, {"methods": ("ls", "bsomp_polar", "ls")}, "methods"),
         ],
     )
     def test_bad_value_refused_before_compute(self, raw, changes, key):
@@ -312,6 +316,19 @@ class TestNmseDistance:
         header = p1.read_text().splitlines()[0]
         assert header == "x,method,mean_db,stderr_db,trials"
 
+    @pytest.mark.parametrize("methods, kinds", [
+        (list(VALID_METHODS), 3),
+        (["ls", "complete_bdcs"], 2),  # routing needs the angular and the polar pursuit
+        (["bsomp_polar", "complete_bdcs"], 2),
+        (["ls"], 0),
+    ])
+    def test_each_pursuit_runs_once_per_trial_over_all_users(self, monkeypatch, methods, kinds):
+        channel = {"num_users": 4, "paths_per_user": 3}
+        cfg = tiny_config(methods=methods, channel=channel, distances=[6.0], trials=2)
+        runs = count_kernel_runs(monkeypatch)
+        run_nmse_vs_distance(cfg)
+        assert runs == [4] * (kinds * cfg.trials)
+
     def test_cs_methods_beat_ls_when_compressed(self):
         cfg = tiny_config(
             methods=["ls", "bsomp_angular", "bsomp_polar", "complete_bdcs"],
@@ -420,9 +437,15 @@ def test_write_curve_csv_format(tmp_path):
 
 _SWEEPS = """
 import sys
-from bdcs.bench import ExperimentConfig, run_nmse_vs_distance, run_se_vs_snr
+from bdcs.bench import ExperimentConfig, run_nmse_vs_distance, run_nmse_vs_snr, run_se_vs_snr
 run_nmse_vs_distance(ExperimentConfig.from_dict({"trials": 1, "seed": 5}), sys.argv[1] + "/nmse.csv")
 run_se_vs_snr(ExperimentConfig.from_dict({"trials": 2, "seed": 5, "snr_db": [0, 10]}), sys.argv[1] + "/se.csv")
+# the users of a trial stop after different numbers of blocks, so the lockstep
+# products change shape from step to step
+run_nmse_vs_snr(ExperimentConfig.from_dict({
+    "trials": 1, "seed": 5, "snr_db": [-10, -5, 0, 5, 10, 20, 30],
+    "recovery": {"residual_tolerance": None}, "side_information": {"decay_floor": 0.05},
+}), sys.argv[1] + "/snr.csv")
 """
 
 
@@ -438,5 +461,5 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path):
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         }
         subprocess.run([sys.executable, "-c", _SWEEPS, str(out)], env=env, check=True, timeout=300)
-        outputs.append([(out / name).read_bytes() for name in ("nmse.csv", "se.csv")])
+        outputs.append([(out / name).read_bytes() for name in ("nmse.csv", "se.csv", "snr.csv")])
     assert outputs[0] == outputs[1]

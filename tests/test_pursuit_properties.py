@@ -1,8 +1,9 @@
 """Properties of the greedy block pursuit that bsomp and the hybrid precoder
 share, checked through both public callers on random shapes and random,
 possibly unequal, block lengths, and against a least-squares-refit oracle of
-the kernel itself; and of reconstruct, which bsomp uses for its channel
-estimates."""
+the kernel itself; that bsomp_batch, which runs the pursuits of a stack of
+observations in lockstep, returns each observation's lone result; and of
+reconstruct, which bsomp uses for its channel estimates."""
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from bdcs import (
     SideInformation,
     block_sparse_precoding,
     bsomp,
+    bsomp_batch,
     make_pilot_matrix,
     measurement_matrix,
     reconstruct,
 )
 from bdcs.recovery import _greedy_blocks
-from helpers import block_somp_reference, greedy_blocks_reference, random_dictionary
+from helpers import block_somp_reference, count_kernel_runs, greedy_blocks_reference, random_dictionary
 
 block_lengths = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=8)
 
@@ -174,7 +176,7 @@ def test_kernel_matches_lstsq_refit_reference(
         max_columns=max_columns,
     )
 
-    sel, cols, coef, history = _greedy_blocks(columns, target, partition, max_blocks, tolerance, **kwargs)
+    sel, cols, coef, history = _greedy_blocks(columns, target[None], partition, max_blocks, tolerance, **kwargs)[0]
     basis = columns[:, cols] if kwargs["column_map"] is None else kwargs["column_map"](columns[:, cols])
     ref_sel, ref_cols, ref_basis, ref_coef, ref_history = greedy_blocks_reference(
         columns, target, partition, max_blocks, tolerance, **kwargs
@@ -185,6 +187,87 @@ def test_kernel_matches_lstsq_refit_reference(
     assert coef.shape == ref_coef.shape
     assert np.linalg.norm(coef - ref_coef) <= 1e-8 * max(np.linalg.norm(ref_coef), 1e-300)
     np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-8)
+
+
+def _target(rng, kind, mm, partition, k):
+    """Observation samples (K, Q): random, all zero, or exactly sparse on one
+    block, which the pursuit can fit to rounding and so stop early."""
+    q = mm.entries.shape[0]
+    if kind == "zero":
+        return np.zeros((k, q), dtype=complex)
+    if kind == "sparse":
+        cols = mm.entries[:, partition.block_slice(int(rng.integers(partition.num_blocks)))]
+        return (rng.standard_normal((k, cols.shape[1])) + 1j * rng.standard_normal((k, cols.shape[1]))) @ cols.T
+    return rng.standard_normal((k, q)) + 1j * rng.standard_normal((k, q))
+
+
+@pytest.mark.filterwarnings("ignore:selected support may exceed")
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=block_lengths,
+    uniform=st.booleans(),
+    q=st.integers(min_value=2, max_value=12),
+    k=st.integers(min_value=1, max_value=3),
+    kinds=st.lists(st.sampled_from(["random", "zero", "sparse"]), min_size=1, max_size=5),
+    max_blocks=st.integers(min_value=1, max_value=6),
+    tolerance=st.sampled_from([0.0, 0.3]),
+    decay_floor=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+    temporal_gain=st.sampled_from([0.0, 2.0]),
+    stored=st.integers(min_value=-1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_batch_returns_each_batch_of_one_result(
+    lengths, uniform, q, k, kinds, max_blocks, tolerance, decay_floor, temporal_gain, stored, seed
+):
+    if uniform:
+        lengths = [lengths[0]] * len(lengths)
+    partition = BlockPartition(lengths)
+    rng = np.random.default_rng(seed)
+    mm = measurement_matrix(make_pilot_matrix(q, 16, seed), random_dictionary(rng, 16, partition.size, 1))
+    si = SideInformation((int(rng.integers(partition.num_blocks)),), temporal_gain, decay_floor=decay_floor)
+    cfg = RecoveryConfig(max_blocks, tolerance, partition)
+    observations = [Observation(_target(rng, kind, mm, partition, k), 0.0, np.inf) for kind in kinds]
+    held = bsomp(mm, observations[stored], cfg, si) if stored in range(len(observations)) else None
+
+    results = bsomp_batch(mm, observations, cfg, si)
+
+    if held is not None:
+        assert results[stored] is held
+    for obs, result in zip(observations, results):
+        alone = bsomp(mm, Observation(obs.per_subcarrier, obs.noise_variance, obs.snr_db), cfg, si)
+        assert result.support_blocks == alone.support_blocks
+        assert result.residual_history == alone.residual_history
+        assert np.array_equal(result.coefficients, alone.coefficients)
+        assert np.array_equal(result.reconstructed_channels, alone.reconstructed_channels)
+
+
+def test_fitted_pursuit_stops_while_its_batch_runs_on():
+    rng = np.random.default_rng(3)
+    partition = BlockPartition.uniform(48, 3)
+    mm = measurement_matrix(make_pilot_matrix(24, 32, 3), random_dictionary(rng, 32, 48, 1))
+    coefficients = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    sparse = Observation(coefficients @ mm.entries[:, partition.block_slice(5)].T, 0.0, np.inf)
+    dense = Observation(rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24)), 0.0, np.inf)
+
+    fitted, other = bsomp_batch(mm, [sparse, dense], RecoveryConfig(4, 0.0, partition))
+
+    assert fitted.support_blocks == (5,) and fitted.final_residual <= 1e-12
+    assert len(other.support_blocks) == 4
+
+
+def test_batch_runs_the_kernel_once_over_the_observations_without_a_result(monkeypatch):
+    rng = np.random.default_rng(4)
+    mm = measurement_matrix(make_pilot_matrix(24, 32, 4), random_dictionary(rng, 32, 48, 3))
+    held, fresh = (Observation(rng.standard_normal((2, 24)) + 0j, 0.0, np.inf) for _ in range(2))
+    cfg = RecoveryConfig(3, 0.0)
+    first = bsomp(mm, held, cfg)
+    runs = count_kernel_runs(monkeypatch)
+
+    results = bsomp_batch(mm, [held, fresh, fresh], cfg)
+
+    assert runs == [1]
+    assert results[0] is first and results[1] is results[2] is bsomp(mm, fresh, cfg)
+    assert bsomp_batch(mm, [fresh, held], cfg) == (results[1], first) and runs == [1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,7 +92,7 @@ def _duplicate_instance(seed, scale):
 def test_near_tie_below_single_precision_follows_float64(scale):
     for seed in range(40):
         columns, target, partition = _duplicate_instance(seed, scale)
-        selected = _greedy_blocks(columns, target, partition, 4, 0.0)[0]
+        selected = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0][0]
         assert selected == greedy_blocks_reference(columns, target, partition, 4, 0.0)[0]
         if selected[0] != 0:  # the copies' exact scores differ by about 1e-9
             assert selected[0] == (3 if scale > 1.0 else 1)
@@ -112,5 +112,5 @@ def test_exact_copies_tie_to_the_lowest_block(reversed_block):
             partition = BlockPartition.uniform(12, 3)
         else:
             columns, target, partition = _duplicate_instance(seed, 1.0)
-        selected = _greedy_blocks(columns, target, partition, 4, 0.0)[0]
+        selected = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0][0]
         assert selected.index(1) < selected.index(3), seed
