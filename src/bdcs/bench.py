@@ -37,7 +37,7 @@ from .dictionaries import (
     angular_partition,
     build_angular_dictionary,
     build_polar_dictionary,
-    polar_ring_distances,
+    polar_atom_count,
 )
 from .errors import ConfigurationError
 from .partition import check_profile, complete_bdcs
@@ -172,8 +172,7 @@ class ExperimentConfig:
         _build(keys, RecoveryConfig, self.recovery.max_blocks, self.recovery.residual_tolerance or 0.0)
         si = _build(keys, SideInformation, decay_floor=self.side_information.decay_floor)
         _build(keys, angular_partition, array, d.oversampling, d.block_length)
-        # at endfire (angle 1) the ring set is empty: only the beta and r_min checks run
-        _build(keys, polar_ring_distances, array, d.beta, d.r_min, 1.0)
+        _build(keys, polar_atom_count, array, d.beta, d.r_min)
         rx_array = _build(keys, ArrayConfig, pre.num_rx_antennas, array.carrier_freq)
         _build(keys, check_counts, pre.num_streams, array.num_antennas, pre.num_rx_antennas,
                pre.num_rf_chains, d.block_length)

@@ -12,6 +12,11 @@ distance in meters (inf for a far-field column). Column g equals
 ``steering(array, distances[g], angles[g])`` bit for bit. Angular columns
 are all far-field; polar columns run, per angle, inf first and then the
 rings far to near.
+
+Both builders are memoized by their arguments, which are hashable values:
+an equal call returns the same read-only Dictionary, with its cached
+``single_precision`` screen. Each keeps only its most recent grid, so a
+process holds one dictionary of each kind, as much as one sweep holds.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -33,6 +38,10 @@ DEFAULT_POLAR_BETA = 1.15
 
 DEFAULT_POLAR_R_MIN = 5.0
 """Closest polar ring kept in the grid, meters."""
+
+MAX_POLAR_ATOMS = 100_000
+"""Largest polar grid built: the reference grid has 2248 atoms, and at
+N = 256 a grid this size takes 410 MB in complex128 atoms alone."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +102,10 @@ class Dictionary:
     """Unit-norm atom matrix with per-column angles and distances and a
     block partition.
 
-    ``atoms`` has shape (N, G) and is made read-only in place, so the cached
-    ``single_precision`` copy can never go stale; ``angles`` and
-    ``distances`` have length G.
+    ``atoms`` has shape (N, G); ``angles`` and ``distances`` have length G.
+    All three are made read-only in place, so one dictionary can be shared
+    by every caller and the cached ``single_precision`` copy can never go
+    stale.
     """
 
     atoms: np.ndarray
@@ -121,6 +131,7 @@ class Dictionary:
             raise ValueError("angles must lie in [-1, 1]")
         if not np.all((distances > 0) | np.isinf(distances)):
             raise ValueError("distances must be positive or inf (far-field)")
+        angles.flags.writeable = distances.flags.writeable = False
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "distances", distances)
         if self.partition.size != a.shape[1]:
@@ -174,8 +185,14 @@ def build_angular_dictionary(
 
     Columns sit at spatial angles (2m - G + 1)/G for m = 0..G-1 with
     G = oversampling * N; adjacent angles are grouped into blocks of
-    ``block_length`` (which must divide G).
+    ``block_length`` (which must divide G). An equal call returns the same
+    dictionary.
     """
+    return _angular_grid(array, oversampling, block_length)
+
+
+@lru_cache(maxsize=1)
+def _angular_grid(array: ArrayConfig, oversampling: int, block_length: int) -> Dictionary:
     partition = angular_partition(array, oversampling, block_length)
     g = partition.size
     angles = (2.0 * np.arange(g) - g + 1) / g
@@ -192,17 +209,42 @@ def angular_partition(array: ArrayConfig, oversampling: int = 1, block_length: i
 
 def polar_ring_distances(array: ArrayConfig, beta: float, r_min: float, spatial_angle: float) -> np.ndarray:
     """Near-field ring distances Z/s, s = 1, 2, ... down to r_min, far to near."""
+    z = _ring_scale(array, beta, r_min, spatial_angle)
+    return z / np.arange(1, int(np.floor(z / r_min)) + 1)
+
+
+def polar_atom_count(array: ArrayConfig, beta: float, r_min: float) -> int:
+    """Column count of the polar grid, from the ring formula alone: N
+    far-field atoms plus floor(Z(a) / r_min) rings per grid angle a. A count
+    above MAX_POLAR_ATOMS is refused, before anything is allocated."""
+    with np.errstate(over="ignore"):  # an infinite count is refused below
+        rings = sum(np.floor(_ring_scale(array, beta, r_min, a) / r_min) for a in _polar_angles(array))
+    count = array.num_antennas + rings
+    if not count <= MAX_POLAR_ATOMS:
+        raise ValueError(
+            f"r_min {r_min} m (beta {beta}) gives {count:.4g} polar atoms, "
+            f"more than MAX_POLAR_ATOMS = {MAX_POLAR_ATOMS}"
+        )
+    return int(count)
+
+
+def _ring_scale(array: ArrayConfig, beta: float, r_min: float, spatial_angle: float) -> float:
+    """Z(angle) of the ring formula; a beta or r_min that is not positive is refused."""
     if not beta > 0:  # also rejects nan
         raise ValueError("beta must be positive")
     if not r_min > 0:
         raise ValueError("r_min must be positive")
-    z = (
+    return (
         array.num_antennas**2
         * array.element_spacing**2
         * (1.0 - spatial_angle**2)
         / (2.0 * beta**2 * array.wavelength)
     )
-    return z / np.arange(1, int(np.floor(z / r_min)) + 1)
+
+
+def _polar_angles(array: ArrayConfig) -> np.ndarray:
+    n = array.num_antennas
+    return (2.0 * np.arange(n) - n + 1) / n
 
 
 def build_polar_dictionary(
@@ -219,25 +261,34 @@ def build_polar_dictionary(
     block, so the partition is only uniform when every run divides evenly.
 
     Larger beta or r_min prune rings; if no angle keeps a ring the grid
-    degenerates to the far-field-only N columns and a warning is issued.
+    degenerates to the far-field-only N columns and a warning is issued, on
+    every call that returns such a grid. A grid of more than
+    MAX_POLAR_ATOMS atoms is refused (see ``polar_atom_count``). An equal
+    call returns the same dictionary.
     """
-    if block_length < 1:
-        raise ValueError("block_length must be at least 1")
-    n = array.num_antennas
-    grid = (2.0 * np.arange(n) - n + 1) / n
-    runs = [np.concatenate(([np.inf], polar_ring_distances(array, beta, r_min, a))) for a in grid]
-    run_lengths = [len(run) for run in runs]
-    angles = np.repeat(grid, run_lengths)
-    distances = np.concatenate(runs)
-    if len(distances) == n:
+    dictionary = _polar_grid(array, beta, r_min, block_length)
+    if dictionary.num_atoms == array.num_antennas:
         warnings.warn(
             "polar dictionary degenerated to far-field-only atoms "
             "(r_min exceeds every ring distance)",
             stacklevel=2,
         )
+    return dictionary
+
+
+@lru_cache(maxsize=1)
+def _polar_grid(array: ArrayConfig, beta: float, r_min: float, block_length: int) -> Dictionary:
+    if block_length < 1:
+        raise ValueError("block_length must be at least 1")
+    polar_atom_count(array, beta, r_min)
+    grid = _polar_angles(array)
+    runs = [np.concatenate(([np.inf], polar_ring_distances(array, beta, r_min, a))) for a in grid]
+    run_lengths = [len(run) for run in runs]
+    angles = np.repeat(grid, run_lengths)
+    distances = np.concatenate(runs)
 
     far = np.isinf(distances)
-    atoms = np.empty((n, len(distances)), dtype=np.complex128)
+    atoms = np.empty((array.num_antennas, len(distances)), dtype=np.complex128)
     atoms[:, ~far] = steering_near(array, distances[~far], angles[~far])
     atoms[:, far] = steering_far(array, angles[far])
 

@@ -224,6 +224,7 @@ OUT_OF_RANGE = [
     ("dictionary.beta", {"dictionary": {"beta": NAN}}),
     ("dictionary.r_min_m", {"dictionary": {"r_min_m": 0.0}}),
     ("dictionary.r_min_m", {"dictionary": {"r_min_m": NAN}}),
+    ("dictionary.r_min_m", {"dictionary": {"r_min_m": 1e-6}}),  # about 1e10 polar atoms
     ("recovery.max_blocks", {"recovery": {"max_blocks": 0}}),
     ("recovery.residual_tolerance", {"recovery": {"residual_tolerance": -0.1}}),
     ("recovery.residual_tolerance", {"recovery": {"residual_tolerance": NAN}}),
@@ -289,6 +290,23 @@ class TestEveryKeyChecked:
         bench = Workbench(cfg)
         assert bench.si is cfg.side_info
         assert cfg.rx_array.num_antennas == cfg.precoding.num_rx_antennas
+
+
+class TestSharedDictionaries:
+    def test_equal_settings_share_the_dictionaries(self):
+        first, second = Workbench(tiny_config()), Workbench(tiny_config(seed=7))
+        assert second.angular is first.angular and second.polar is first.polar
+
+    @pytest.mark.parametrize("sweep", [run_nmse_vs_distance, run_se_vs_snr])
+    def test_csv_bytes_independent_of_the_dictionaries_held(self, tmp_path, sweep):
+        cfg = tiny_config(methods=["ls", "bsomp_angular", "bsomp_polar"], distances=[4.0], trials=2)
+        other = tiny_config(dictionary={"block_length": 4, "r_min_m": 0.2}, distances=[4.0], trials=2)
+        sweep(other)
+        sweep(cfg, str(tmp_path / "after_other.csv"))
+        bdcs.dictionaries._angular_grid.cache_clear()
+        bdcs.dictionaries._polar_grid.cache_clear()
+        sweep(cfg, str(tmp_path / "fresh.csv"))
+        assert (tmp_path / "after_other.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 class TestNmseDistance:

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from bdcs import (
     export_metadata_csv,
     steering,
 )
-from bdcs.dictionaries import angular_partition, polar_ring_distances
+from bdcs.dictionaries import (
+    DEFAULT_POLAR_BETA,
+    MAX_POLAR_ATOMS,
+    _angular_grid,
+    _polar_grid,
+    angular_partition,
+    polar_atom_count,
+    polar_ring_distances,
+)
 from helpers import random_dictionary
 
 
@@ -106,6 +115,9 @@ class TestPolarDictionary:
             d = build_polar_dictionary(arr, beta=1e6, r_min=1.0)
         assert d.num_atoms == 16
         assert np.all(np.isinf(d.distances))
+        # an equal call returns the stored grid and warns again
+        with pytest.warns(UserWarning):
+            assert build_polar_dictionary(arr, beta=1e6, r_min=1.0) is d
 
     def test_size_monotone_in_beta_and_r_min(self):
         arr = ArrayConfig(64, 30e9)
@@ -145,6 +157,21 @@ class TestPolarDictionary:
             finite = distances[1:]
             assert all(a > b for a, b in zip(finite, finite[1:]))
 
+    @pytest.mark.parametrize("n, beta, r_min", [(256, DEFAULT_POLAR_BETA, 5.0), (32, 1.0, 0.5), (16, 1e6, 1.0)])
+    def test_atom_count_is_the_built_size(self, n, beta, r_min):
+        arr = ArrayConfig(n, 30e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the far-field-only grid
+            assert polar_atom_count(arr, beta, r_min) == build_polar_dictionary(arr, beta, r_min).num_atoms
+
+    @pytest.mark.parametrize("r_min", [1e-6, 1e-300, 5e-324])
+    def test_oversized_grid_refused_before_allocation(self, r_min):
+        # 1e-6 m asks for about 1e10 atoms, 5e-324 m for an infinite count
+        arr = ArrayConfig(256, 30e9)
+        for call in (polar_atom_count, build_polar_dictionary):
+            with pytest.raises(ValueError, match=f"^r_min .*MAX_POLAR_ATOMS = {MAX_POLAR_ATOMS}"):
+                call(arr, DEFAULT_POLAR_BETA, r_min)
+
     def test_invalid_parameters(self):
         arr = ArrayConfig(8, 30e9)
         with pytest.raises(ValueError):
@@ -168,6 +195,30 @@ class TestPolarDictionary:
             polar_ring_distances(arr, args["beta"], args["r_min"], 0.0)
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             build_polar_dictionary(arr, **args)
+
+
+class TestSharedDictionaries:
+    @pytest.mark.parametrize("name", ["atoms", "angles", "distances"])
+    def test_arrays_are_read_only(self, name):
+        arr = ArrayConfig(8, 30e9)
+        for d in (build_angular_dictionary(arr), build_polar_dictionary(arr, r_min=0.01)):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(d, name)[0] = 0
+
+    def test_equal_calls_return_one_object(self):
+        polar = build_polar_dictionary(ArrayConfig(16, 30e9), r_min=0.05, block_length=2)
+        assert build_polar_dictionary(ArrayConfig(16, 30e9), DEFAULT_POLAR_BETA, 0.05, 2) is polar
+        angular = build_angular_dictionary(ArrayConfig(16, 30e9), 2, 4)
+        assert build_angular_dictionary(ArrayConfig(16, 30e9), oversampling=2, block_length=4) is angular
+        assert build_angular_dictionary(ArrayConfig(16, 30e9), 1, 4) is not angular
+
+    def test_memo_holds_at_most_its_bound(self):
+        for grid, build in ((_angular_grid, build_angular_dictionary),
+                            (_polar_grid, lambda arr: build_polar_dictionary(arr, r_min=1e-3))):
+            bound = grid.cache_info().maxsize
+            for n in range(4, 6 + bound):
+                build(ArrayConfig(n, 30e9))
+            assert grid.cache_info().currsize <= bound
 
 
 class TestCoherence:
