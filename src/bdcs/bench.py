@@ -403,42 +403,62 @@ class Workbench:
             return result.reconstructed_channels
         raise ConfigurationError(f"unknown method {method!r}")
 
-    def nmse_trial(self, idx: int, trial: int, distance: float, snr_db: float) -> dict:
-        """Per method, the NMSE in dB of one trial, averaged over its users.
-        ``idx`` is the sweep index that keys the channel and noise seeds.
+    def nmse_cells(self, cells: Sequence[tuple]) -> list:
+        """Per cell (idx, trial, distance, snr_db), the NMSE in dB of each
+        method, averaged over the cell's users. ``idx`` is the sweep index
+        that keys the channel and noise seeds.
 
-        Every pursuit the methods need runs once over all users, in lockstep
+        Every pursuit the methods need runs once over the observations of all
+        cells that share its residual tolerance, in lockstep
         (``bsomp_batch``); ``estimate`` then gets each stored result."""
         cfg = self.cfg
-        observations, truths = [], []
-        for user in range(cfg.channel.num_users):
-            channel = self.draw_channel(distance, idx, trial, user)
-            observations.append(observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user)))
-            truths.append(channel.per_subcarrier_channels)
+        observed = []  # per cell, its users' (observation, true channels)
+        by_tolerance: dict = {}  # residual tolerance -> the observations it applies to
+        for idx, trial, distance, snr_db in cells:
+            pairs = []
+            for user in range(cfg.channel.num_users):
+                channel = self.draw_channel(distance, idx, trial, user)
+                obs = observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user))
+                pairs.append((obs, channel.per_subcarrier_channels))
+            observed.append(pairs)
+            by_tolerance.setdefault(self.residual_tolerance(snr_db), []).extend(obs for obs, _ in pairs)
         routed = ("bsomp_angular", "bsomp_polar") if "complete_bdcs" in cfg.methods else ()
-        tol = self.residual_tolerance(snr_db)
-        for kind in _PURSUITS:
-            if kind in cfg.methods or kind in routed:
-                measurement, recovery_cfg = self.pursuit(kind, tol)
-                bsomp_batch(measurement, observations, recovery_cfg, self.si)
-        return {
-            m: float(np.mean([nmse(self.estimate(m, obs), truth) for obs, truth in zip(observations, truths)]))
-            for m in cfg.methods
-        }
+        for tol, group in by_tolerance.items():
+            for kind in _PURSUITS:
+                if kind in cfg.methods or kind in routed:
+                    measurement, recovery_cfg = self.pursuit(kind, tol)
+                    bsomp_batch(measurement, group, recovery_cfg, self.si)
+        return [
+            {m: float(np.mean([nmse(self.estimate(m, obs), truth) for obs, truth in pairs])) for m in cfg.methods}
+            for pairs in observed
+        ]
 
 
-def _sweep(cfg: ExperimentConfig, xs, labels, trial_values, out_path) -> list:
+MAX_BATCH_OBSERVATIONS = 16
+"""Most observations a sweep holds at once. It scores its cells in chunks of
+whole cells with at most this many observations, and never less than one
+cell, so each chunk runs one lockstep batch per pursuit kind and residual
+tolerance. Every observation keeps its stored pursuit results, about 0.38 MB
+at the reference preset (mostly dense (K, G) coefficients), until its cell
+is scored: a larger chunk shares more of each correlation product, but
+holds more memory."""
+
+
+def _sweep(cfg: ExperimentConfig, xs, labels, cell_values, cell_size: int, out_path) -> list:
     """Shared aggregation loop: per x and label, the mean and standard error
-    over trials of trial_values(x_idx, x, trial)[label]; writes the CSV when
+    over trials of the value of each cell (x_idx, x, trial). The cells are
+    walked x-major in chunks of whole cells of ``cell_size`` observations
+    each (see MAX_BATCH_OBSERVATIONS); cell_values(chunk) returns, per cell
+    of the chunk, a mapping from label to value. Writes the CSV when
     out_path is set."""
+    cells = [(x_idx, x, trial) for x_idx, x in enumerate(xs) for trial in range(cfg.trials)]
+    step = max(1, MAX_BATCH_OBSERVATIONS // cell_size)
+    values = [v for start in range(0, len(cells), step) for v in cell_values(cells[start:start + step])]
     points: list = []
     for x_idx, x in enumerate(xs):
-        samples = {label: np.empty(cfg.trials) for label in labels}
-        for trial in range(cfg.trials):
-            for label, value in trial_values(x_idx, x, trial).items():
-                samples[label][trial] = value
+        trials = values[x_idx * cfg.trials:(x_idx + 1) * cfg.trials]
         for label in labels:
-            vals = samples[label]
+            vals = np.array([v[label] for v in trials], dtype=float)
             stderr = float(vals.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
             points.append(CurvePoint(float(x), label, float(vals.mean()), stderr, cfg.trials))
     if out_path:
@@ -454,8 +474,8 @@ def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) 
     bench = Workbench(cfg)
     return _sweep(
         cfg, grid, cfg.methods,
-        lambda d_idx, distance, trial: bench.nmse_trial(d_idx, trial, distance, snr_db),
-        out_path,
+        lambda cells: bench.nmse_cells([(d_idx, trial, distance, snr_db) for d_idx, distance, trial in cells]),
+        cfg.channel.num_users, out_path,
     )
 
 
@@ -465,8 +485,8 @@ def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> li
     bench = Workbench(cfg)
     return _sweep(
         cfg, cfg.snr_db, cfg.methods,
-        lambda s_idx, snr_db, trial: bench.nmse_trial(s_idx, trial, distance, snr_db),
-        out_path,
+        lambda cells: bench.nmse_cells([(s_idx, trial, distance, snr_db) for s_idx, snr_db, trial in cells]),
+        cfg.channel.num_users, out_path,
     )
 
 
@@ -496,4 +516,4 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
         return values
 
     labels = ("optimal", "hybrid_angular", "hybrid_polar")
-    return _sweep(cfg, cfg.snr_db, labels, trial_values, out_path)
+    return _sweep(cfg, cfg.snr_db, labels, lambda cells: [trial_values(*cell) for cell in cells], 1, out_path)

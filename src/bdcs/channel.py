@@ -212,11 +212,18 @@ def steering_near(array: ArrayConfig, distance, spatial_angle) -> np.ndarray:
     return vec
 
 
-def steering(array: ArrayConfig, distance: float, spatial_angle: float) -> np.ndarray:
-    """Steering vector that routes to the far-field form when distance is inf."""
-    if np.isinf(distance):
-        return steering_far(array, spatial_angle)
-    return steering_near(array, distance, spatial_angle)
+def steering(array: ArrayConfig, distance, spatial_angle) -> np.ndarray:
+    """Steering vector that routes to the far-field form when distance is inf,
+    or an (N, G) matrix for equal-length 1-D arrays of G distances and angles,
+    column g bit-identical to the scalar call for source g."""
+    distance, angle = np.asarray(distance, dtype=float), np.asarray(spatial_angle, dtype=float)
+    if not angle.ndim:
+        return steering_far(array, angle) if np.isinf(distance) else steering_near(array, distance, angle)
+    far = np.isinf(distance)
+    vecs = np.empty((array.num_antennas, len(angle)), dtype=np.complex128)
+    vecs[:, ~far] = steering_near(array, distance[~far], angle[~far])
+    vecs[:, far] = steering_far(array, angle[far])
+    return vecs
 
 
 def rayleigh_distance(array: ArrayConfig) -> float:
@@ -265,8 +272,8 @@ def synthesize_channel(
     offsets_hz = grid.frequencies - grid.center_freq
     h = np.zeros((k_count, array.num_antennas), dtype=np.complex128)
     scale = np.sqrt(array.num_antennas / num_paths)
-    for path in paths:
-        vec = steering_near(array, path.distance, path.spatial_angle)
+    vecs = steering_near(array, [p.distance for p in paths], [p.spatial_angle for p in paths])
+    for path, vec in zip(paths, vecs.T):
         rot = np.exp(-2j * np.pi * offsets_hz * path.distance / SPEED_OF_LIGHT)
         h += scale * path.complex_gain * rot[:, None] * vec[None, :]
     return ChannelRealization(h, tuple(paths))
@@ -293,8 +300,8 @@ def synthesize_matrix_channel(
     n_t, n_r = tx_array.num_antennas, rx_array.num_antennas
     num_paths = len(tx_paths)
     h = np.zeros((n_r, n_t), dtype=np.complex128)
-    for path, rx_angle in zip(tx_paths, rx_angles):
-        a_rx = steering_far(rx_array, rx_angle)
-        b_tx = steering(tx_array, path.distance, path.spatial_angle)
-        h += path.complex_gain * np.outer(a_rx, b_tx.conj())
+    a_rx = steering_far(rx_array, rx_angles)
+    b_tx = steering(tx_array, [p.distance for p in tx_paths], [p.spatial_angle for p in tx_paths])
+    for path, a, b in zip(tx_paths, a_rx.T, b_tx.T):
+        h += path.complex_gain * np.outer(a, b.conj())
     return np.sqrt(n_t * n_r / num_paths) * h

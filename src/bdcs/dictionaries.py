@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ArrayConfig, steering_far, steering_near
+from .channel import ArrayConfig, steering, steering_far
 from .errors import ConfigurationError
 
 DEFAULT_POLAR_BETA = 1.15
@@ -216,15 +216,19 @@ def polar_ring_distances(array: ArrayConfig, beta: float, r_min: float, spatial_
 def polar_atom_count(array: ArrayConfig, beta: float, r_min: float) -> int:
     """Column count of the polar grid, from the ring formula alone: N
     far-field atoms plus floor(Z(a) / r_min) rings per grid angle a. A count
-    above MAX_POLAR_ATOMS is refused, before anything is allocated."""
-    with np.errstate(over="ignore"):  # an infinite count is refused below
+    above MAX_POLAR_ATOMS is refused, before anything is allocated. The ring
+    count scales as 1 / (beta^2 r_min), so the message names first the one of
+    beta and r_min that raises it by the larger factor over its default."""
+    with np.errstate(all="ignore"):  # an infinite or nan count (beta^2 can underflow to 0) is refused below
         rings = sum(np.floor(_ring_scale(array, beta, r_min, a) / r_min) for a in _polar_angles(array))
     count = array.num_antennas + rings
     if not count <= MAX_POLAR_ATOMS:
-        raise ValueError(
-            f"r_min {r_min} m (beta {beta}) gives {count:.4g} polar atoms, "
-            f"more than MAX_POLAR_ATOMS = {MAX_POLAR_ATOMS}"
-        )
+        # (beta0 / beta)^2 > r_min0 / r_min, as products: a float ** can raise OverflowError
+        if DEFAULT_POLAR_BETA * DEFAULT_POLAR_BETA * r_min > beta * beta * DEFAULT_POLAR_R_MIN:
+            cause = f"beta {beta} (r_min {r_min} m)"
+        else:
+            cause = f"r_min {r_min} m (beta {beta})"
+        raise ValueError(f"{cause} gives {count:.4g} polar atoms, more than MAX_POLAR_ATOMS = {MAX_POLAR_ATOMS}")
     return int(count)
 
 
@@ -287,10 +291,7 @@ def _polar_grid(array: ArrayConfig, beta: float, r_min: float, block_length: int
     angles = np.repeat(grid, run_lengths)
     distances = np.concatenate(runs)
 
-    far = np.isinf(distances)
-    atoms = np.empty((array.num_antennas, len(distances)), dtype=np.complex128)
-    atoms[:, ~far] = steering_near(array, distances[~far], angles[~far])
-    atoms[:, far] = steering_far(array, angles[far])
+    atoms = steering(array, distances, angles)
 
     block_lengths = []
     for run in run_lengths:

@@ -222,6 +222,7 @@ OUT_OF_RANGE = [
     ("dictionary.block_length", {"dictionary": {"block_length": 3}}),  # does not divide 256
     ("dictionary.beta", {"dictionary": {"beta": -1.0}}),
     ("dictionary.beta", {"dictionary": {"beta": NAN}}),
+    ("dictionary.beta", {"dictionary": {"beta": 1e-3}}),  # about 2.8e9 polar atoms
     ("dictionary.r_min_m", {"dictionary": {"r_min_m": 0.0}}),
     ("dictionary.r_min_m", {"dictionary": {"r_min_m": NAN}}),
     ("dictionary.r_min_m", {"dictionary": {"r_min_m": 1e-6}}),  # about 1e10 polar atoms
@@ -334,19 +335,6 @@ class TestNmseDistance:
         header = p1.read_text().splitlines()[0]
         assert header == "x,method,mean_db,stderr_db,trials"
 
-    @pytest.mark.parametrize("methods, kinds", [
-        (list(VALID_METHODS), 3),
-        (["ls", "complete_bdcs"], 2),  # routing needs the angular and the polar pursuit
-        (["bsomp_polar", "complete_bdcs"], 2),
-        (["ls"], 0),
-    ])
-    def test_each_pursuit_runs_once_per_trial_over_all_users(self, monkeypatch, methods, kinds):
-        channel = {"num_users": 4, "paths_per_user": 3}
-        cfg = tiny_config(methods=methods, channel=channel, distances=[6.0], trials=2)
-        runs = count_kernel_runs(monkeypatch)
-        run_nmse_vs_distance(cfg)
-        assert runs == [4] * (kinds * cfg.trials)
-
     def test_cs_methods_beat_ls_when_compressed(self):
         cfg = tiny_config(
             methods=["ls", "bsomp_angular", "bsomp_polar", "complete_bdcs"],
@@ -356,6 +344,75 @@ class TestNmseDistance:
         by_method = {p.method: p.mean_db for p in points}
         for method in ("bsomp_angular", "bsomp_polar", "complete_bdcs"):
             assert by_method[method] < by_method["ls"]
+
+
+class TestCellChunks:
+    """The NMSE sweeps batch the observations of whole cells, up to
+    MAX_BATCH_OBSERVATIONS at once."""
+
+    @pytest.mark.parametrize("methods, kinds", [
+        (list(VALID_METHODS), 3),
+        (["ls", "complete_bdcs"], 2),  # routing needs the angular and the polar pursuit
+        (["bsomp_polar", "complete_bdcs"], 2),
+        (["ls"], 0),
+    ])
+    @pytest.mark.parametrize("users, sizes", [
+        (4, [16, 8]),  # 6 cells: a chunk of 4 whole cells (16 observations), then one of 2
+        (3, [15, 3]),  # 5 whole cells fit in 16 observations
+        (17, [17] * 6),  # a cell larger than the cap is a chunk of its own
+    ])
+    def test_each_pursuit_runs_once_per_chunk_of_cells(self, monkeypatch, methods, kinds, users, sizes):
+        channel = {"num_users": users, "paths_per_user": 3}
+        cfg = tiny_config(methods=methods, channel=channel, distances=[4.0, 6.0, 9.0], trials=2)
+        runs = count_kernel_runs(monkeypatch)
+        run_nmse_vs_distance(cfg)
+        assert runs == [size for size in sizes for _ in range(kinds)]
+
+    @pytest.mark.parametrize("tolerance", [0.1, None])
+    def test_a_chunk_batches_by_residual_tolerance(self, monkeypatch, tolerance):
+        # 2 SNRs x 2 trials x 4 users fill one chunk; an SNR-matched tolerance splits it per SNR
+        import bdcs.recovery
+
+        runs, kernel = [], bdcs.recovery._greedy_blocks
+
+        def counted(columns, targets, partition, max_blocks, tol, *args, **kwargs):
+            runs.append((len(targets), tol))
+            return kernel(columns, targets, partition, max_blocks, tol, *args, **kwargs)
+
+        monkeypatch.setattr(bdcs.recovery, "_greedy_blocks", counted)
+        cfg = tiny_config(
+            methods=["ls", "bsomp_angular"], snr_db=[0.0, 10.0], distances=[6.0], trials=2,
+            channel={"num_users": 4, "paths_per_user": 3},
+            recovery={"max_blocks": 3, "residual_tolerance": tolerance},
+        )
+        run_nmse_vs_snr(cfg)
+        if tolerance is None:
+            bench = Workbench(cfg)
+            assert runs == [(8, bench.residual_tolerance(snr)) for snr in cfg.snr_db]
+        else:
+            assert runs == [(16, tolerance)]
+
+    @pytest.mark.parametrize("sweep, raw", [
+        (run_nmse_vs_distance, {"distances": [4.0, 6.0, 9.0], "trials": 3}),
+        (run_nmse_vs_snr, {
+            "snr_db": [-5.0, 5.0, 20.0], "distances": [6.0], "trials": 3,
+            "recovery": {"max_blocks": 3, "residual_tolerance": None},
+            "side_information": {"decay_floor": 0.05},
+        }),
+        (run_se_vs_snr, {"snr_db": [0.0, 10.0], "distances": [6.0], "trials": 3}),
+    ])
+    def test_csv_bytes_independent_of_the_chunk_size(self, tmp_path, monkeypatch, sweep, raw):
+        # a cap of 1 observation makes each cell its own chunk (one batch per
+        # trial); a cap of 1000 puts the whole sweep in one chunk
+        import bdcs.bench
+
+        cfg = tiny_config(channel={"num_users": 3, "paths_per_user": 3}, **raw)
+        outputs = []
+        for cap in (1, bdcs.bench.MAX_BATCH_OBSERVATIONS, 1000):
+            monkeypatch.setattr(bdcs.bench, "MAX_BATCH_OBSERVATIONS", cap)
+            sweep(cfg, str(tmp_path / f"{cap}.csv"))
+            outputs.append((tmp_path / f"{cap}.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestNmseSnr:
@@ -458,7 +515,7 @@ import sys
 from bdcs.bench import ExperimentConfig, run_nmse_vs_distance, run_nmse_vs_snr, run_se_vs_snr
 run_nmse_vs_distance(ExperimentConfig.from_dict({"trials": 1, "seed": 5}), sys.argv[1] + "/nmse.csv")
 run_se_vs_snr(ExperimentConfig.from_dict({"trials": 2, "seed": 5, "snr_db": [0, 10]}), sys.argv[1] + "/se.csv")
-# the users of a trial stop after different numbers of blocks, so the lockstep
+# the observations of a chunk stop after different numbers of blocks, so the lockstep
 # products change shape from step to step
 run_nmse_vs_snr(ExperimentConfig.from_dict({
     "trials": 1, "seed": 5, "snr_db": [-10, -5, 0, 5, 10, 20, 30],

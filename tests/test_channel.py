@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdcs import (
+    SPEED_OF_LIGHT,
     ArrayConfig,
     ClusterSpec,
     PathParam,
     SubcarrierGrid,
     rayleigh_distance,
+    steering,
     steering_far,
     steering_near,
     synthesize_channel,
@@ -176,6 +178,22 @@ class TestSynthesizeChannel:
         with pytest.raises(ValueError):
             synthesize_channel(ArrayConfig(4, 30e9), [], SubcarrierGrid(1, 30e9), 0)
 
+    def test_batched_steering_equals_per_path_synthesis(self):
+        # reference: one scalar steering call per path, accumulated in path order
+        arr = ArrayConfig(32, 30e9)
+        grid = SubcarrierGrid(3, 30e9, 240e3)
+        clusters = [ClusterSpec(0.3, 12.0, 0.05, 1.0, 4, 0.5), ClusterSpec(-0.6, 40.0, 0.1, 4.0, 3, 0.2)]
+        for seed in range(4):
+            real = synthesize_channel(arr, clusters, grid, seed)
+            offsets_hz = grid.frequencies - grid.center_freq
+            scale = np.sqrt(arr.num_antennas / len(real.paths))
+            h = np.zeros((3, 32), dtype=complex)
+            for path in real.paths:
+                vec = steering_near(arr, path.distance, path.spatial_angle)
+                rot = np.exp(-2j * np.pi * offsets_hz * path.distance / SPEED_OF_LIGHT)
+                h += scale * path.complex_gain * rot[:, None] * vec[None, :]
+            assert np.array_equal(real.per_subcarrier_channels, h)
+
     def test_subpaths_clipped_to_domain(self):
         cluster = ClusterSpec(0.95, 0.5, 0.2, 2.0, 16, 0.0)
         real = synthesize_channel(ArrayConfig(4, 30e9), [cluster], SubcarrierGrid(1, 30e9), 3)
@@ -195,6 +213,28 @@ class TestMatrixChannel:
         rx = ArrayConfig(2, 30e9)
         h = synthesize_matrix_channel(tx, rx, [PathParam(0.0, np.inf, 1.0)], [0.0])
         assert np.all(np.isfinite(h.view(float)))
+
+    def test_batched_steering_equals_per_path_synthesis(self):
+        # reference: scalar steering calls per path, accumulated in path order;
+        # paths at inf take the far-field form
+        tx, rx = ArrayConfig(32, 30e9), ArrayConfig(4, 30e9)
+        rng = np.random.default_rng(3)
+        distances = [8.0, np.inf, 30.0, np.inf, 2.5]
+        paths = [PathParam(float(rng.uniform(-1, 1)), r, complex(rng.standard_normal(), rng.standard_normal()))
+                 for r in distances]
+        rx_angles = list(rng.uniform(-1, 1, len(paths)))
+        h = np.zeros((4, 32), dtype=complex)
+        for path, rx_angle in zip(paths, rx_angles):
+            if np.isinf(path.distance):
+                b_tx = steering_far(tx, path.spatial_angle)
+            else:
+                b_tx = steering_near(tx, path.distance, path.spatial_angle)
+            h += path.complex_gain * np.outer(steering_far(rx, rx_angle), b_tx.conj())
+        expected = np.sqrt(32 * 4 / len(paths)) * h
+        assert np.array_equal(synthesize_matrix_channel(tx, rx, paths, rx_angles), expected)
+        columns = steering(tx, [p.distance for p in paths], [p.spatial_angle for p in paths])
+        for g, path in enumerate(paths):
+            assert np.array_equal(columns[:, g], steering(tx, path.distance, path.spatial_angle))
 
     def test_length_mismatch(self):
         tx = ArrayConfig(8, 30e9)

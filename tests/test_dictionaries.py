@@ -20,6 +20,7 @@ from bdcs import (
 )
 from bdcs.dictionaries import (
     DEFAULT_POLAR_BETA,
+    DEFAULT_POLAR_R_MIN,
     MAX_POLAR_ATOMS,
     _angular_grid,
     _polar_grid,
@@ -171,6 +172,16 @@ class TestPolarDictionary:
         for call in (polar_atom_count, build_polar_dictionary):
             with pytest.raises(ValueError, match=f"^r_min .*MAX_POLAR_ATOMS = {MAX_POLAR_ATOMS}"):
                 call(arr, DEFAULT_POLAR_BETA, r_min)
+
+    @pytest.mark.parametrize("beta, r_min, name", [
+        (1e-3, DEFAULT_POLAR_R_MIN, "beta"),  # about 2.8e9 atoms
+        (1e-200, 1e6, "beta"),  # an infinite count
+        (1e-2, 1e-3, "beta"),  # both small, beta the more: (1.15 / 1e-2)^2 > 5 / 1e-3
+        (0.5, 1e-4, "r_min"),  # both small, r_min the more
+    ])
+    def test_oversized_grid_names_the_value_at_fault(self, beta, r_min, name):
+        with pytest.raises(ValueError, match=f"^{name} .*MAX_POLAR_ATOMS = {MAX_POLAR_ATOMS}"):
+            polar_atom_count(ArrayConfig(256, 30e9), beta, r_min)
 
     def test_invalid_parameters(self):
         arr = ArrayConfig(8, 30e9)
