@@ -16,17 +16,19 @@ it every float64 coefficient and residual, is that of float64 scores; exact
 scores within a relative 1e-12 tie to the lowest block index. The loop also
 stops at a relative residual of 1e-12, where scores are rounding noise.
 bsomp_batch() runs the pursuits of several observations over one measurement
-matrix in lockstep, one correlation product per step for all of them, and
-each gets the result it would get alone; bsomp() is its batch of one. Each
-result is stored on its observation, so a repeated pursuit returns it
-without running again. A least-squares baseline and the NMSE metric live
-here as well.
+matrix in lockstep: their float64 state is one stack of arrays, so each
+greedy step is a fixed number of array operations for all of them, with one
+correlation product, and each gets the result it would get alone; bsomp()
+is its batch of one. Each result is stored on its observation, so a
+repeated pursuit returns it without running again. A least-squares
+baseline and the NMSE metric live here as well.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -102,8 +104,11 @@ def ls_estimate(pilot: PilotMatrix, obs: Observation) -> np.ndarray:
     """Minimum-norm least-squares channel estimate, shape (K, N).
 
     Uses the pilot's cached pseudo-inverse, so the SVD runs once per pilot;
-    the result is bit-identical to pinv(P) @ y per subcarrier.
+    the result is bit-identical to pinv(P) @ y per subcarrier. The
+    observation must have one sample per pilot.
     """
+    if obs.per_subcarrier.shape[1] != pilot.pilot_count:
+        raise ValueError("observation sample count must equal the pilot count")
     return (pilot.pseudo_inverse @ obs.per_subcarrier.T).T
 
 
@@ -140,89 +145,31 @@ def _dot_error(n: int) -> float:
     return 2.0 * (n + 4) * _U
 
 
-def _support_coefficients(t: np.ndarray, qy: np.ndarray, rank: int, width: int) -> np.ndarray:
-    """Minimum-norm solution of T[:rank, :width] c = (Q^H target)[:rank], which
-    is the minimum-norm least-squares fit of the target over the basis Q T."""
-    if rank == width:
-        return np.linalg.solve(t[:rank, :rank], qy[:rank])
-    return np.linalg.lstsq(t[:rank, :width], qy[:rank], rcond=None)[0]
+def _support_coefficients(p: SimpleNamespace, i: int, slots: int) -> np.ndarray:
+    """Minimum-norm solution of T c = Q^H target for pursuit ``i`` of the
+    stack ``p`` over its first ``slots`` slots, rows restricted to the
+    directions and columns to the support columns that exist: the
+    minimum-norm least-squares fit of the target over its support."""
+    rows, cols = p.filled[i, :slots], p.real[i, :slots]
+    t, qy = p.t[i, :slots, :slots][rows][:, cols], p.qy[i, :slots][rows]
+    if t.shape[0] == t.shape[1]:
+        return np.linalg.solve(t, qy)
+    return np.linalg.lstsq(t, qy, rcond=None)[0]
 
 
-class _Pursuit:
-    """One target's float64 state in the lockstep loop of ``_greedy_blocks``:
-    the basis Q T with Q^H target beside it, the residual and its history,
-    the selected blocks, and the bound on its screened correlation's error."""
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each x[i], summed in the same order whatever
+    the number of rows, so a pursuit's float64 state does not depend on its
+    batch."""
+    x = x.reshape(len(x), 1, -1)
+    x = x.view(x.real.dtype)
+    return (x @ x.transpose(0, 2, 1))[:, 0, 0]
 
-    def __init__(self, target: np.ndarray, width: int, dtype):
-        m, s = target.shape
-        self.target = target
-        self.total = float(np.linalg.norm(target))
-        self.q = np.empty((m, min(m, width)), dtype=dtype)
-        self.qh = np.empty((self.q.shape[1], m), dtype=dtype)  # Q^H, row by row
-        self.t = np.zeros((self.q.shape[1], width), dtype=dtype)
-        self.qy = np.empty((self.q.shape[1], s), dtype=dtype)
-        self.residual = target
-        self.selected, self.cols, self.history = [], [], [1.0]
-        self.rank = self.used = self.new_rank = 0
-        self.err = _dot_error(m)
-        self.decayed = False
 
-    def extend(self, near, columns, partition, weights, decay_floor, column_map) -> bool:
-        """Select the best block among ``near``, rescoring the candidates in
-        float64 when there are several, and add its columns to the basis and
-        its directions to the residual. Returns False when the decay rule
-        discards the block."""
-        lengths = partition.lengths
-        block = int(np.argmax(near))
-        if np.count_nonzero(near) > 1:
-            picked = np.flatnonzero(near)
-            exact = self.residual.conj().T @ columns[:, np.flatnonzero(np.repeat(near, lengths))]
-            exact = np.add.reduceat(
-                np.sum(exact.real ** 2 + exact.imag ** 2, axis=0),
-                np.cumsum(lengths[picked]) - lengths[picked],
-            )
-            if weights is not None:
-                exact *= weights[picked]
-            block = int(picked[np.argmax(exact >= exact.max() * (1.0 - _TIE))])
-
-        block_slice = partition.block_slice(block)
-        new_cols = columns[:, block_slice]
-        if column_map is not None:
-            new_cols = column_map(new_cols)
-        q, qh, t, qy, rank, used = self.q, self.qh, self.t, self.qy, self.rank, self.used
-        start = rank
-        for j in range(new_cols.shape[1]):
-            a = new_cols[:, j]
-            h = qh[:rank] @ a
-            v = a - q[:, :rank] @ h
-            h2 = qh[:rank] @ v
-            v -= q[:, :rank] @ h2
-            t[:rank, used + j] = h + h2
-            norm = np.vdot(v, v).real ** 0.5
-            if norm > _DEPENDENT * np.vdot(a, a).real ** 0.5:
-                v /= norm
-                q[:, rank] = v
-                qh[rank] = v.conj()
-                t[rank, used + j] = norm
-                rank += 1
-        qy[start:rank] = qh[start:rank] @ self.target
-
-        if decay_floor is not None and self.selected:
-            trial = _support_coefficients(t, qy, rank, used + new_cols.shape[1])
-            first = trial[: lengths[self.selected[0]]]
-            new = trial[used:]
-            energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
-            if float(np.sum(new.real ** 2 + new.imag ** 2)) < decay_floor * energy_first:
-                self.decayed = True  # decaying-energy stop; the basis keeps its old rank
-                return False
-
-        self.selected.append(block)
-        self.cols.extend(range(*block_slice.indices(columns.shape[1])))
-        self.rank, self.used, self.new_rank = rank, used + new_cols.shape[1], rank - start
-        self.uh, self.uy = qh[start:rank], qy[start:rank]
-        self.residual = self.residual - q[:, start:rank] @ self.uy
-        self.history.append(float(np.linalg.norm(self.residual)) / self.total)
-        return True
+def _screen_product(rows: np.ndarray, screen: np.ndarray) -> np.ndarray:
+    """rows @ screen in complex64. OpenBLAS packs the whole screen for every
+    GEMM, which costs more than a GEMV per row when there are one or two rows."""
+    return np.matmul(rows[:, None], screen)[:, 0] if len(rows) <= 2 else rows @ screen
 
 
 def _greedy_blocks(
@@ -254,24 +201,37 @@ def _greedy_blocks(
     only, decide. So the selection is that of float64 scores, and the
     float64 residual, basis and coefficients are those of a float64 loop.
 
-    The basis is held as Q T: Q has orthonormal columns, T is upper
-    trapezoidal, and Q^H target is kept beside them. Each new column is
-    orthogonalised against Q by classical Gram-Schmidt with one
-    re-orthogonalisation; a column with (almost) no component outside Q adds
-    no direction, so supports wider than M stay exact. The new directions U
-    update the residual R <- R - U (U^H target) and the correlation by the
-    cheaper of (U^H target)^H (U^H columns) and (U U^H target)^H columns;
-    that update runs only once another block is known to be admissible. The
-    coefficients, the minimum-norm least-squares fit over the basis, solve
-    T c = Q^H target; they are solved for the decay rule and once at the end.
+    The basis is held as Q T: Q has orthonormal columns, T holds each
+    support column's coefficients on them, and Q^H target is kept beside
+    them. Each new column is orthogonalised against Q by classical
+    Gram-Schmidt with one re-orthogonalisation; a column with (almost) no
+    component outside Q adds no direction, so supports wider than M stay
+    exact. The new directions U update the residual R <- R - U (U^H target)
+    and the correlation by the cheaper of (U^H target)^H (U^H columns) and
+    (U U^H target)^H columns; that update runs only once another block is
+    known to be admissible. The coefficients, the minimum-norm least-squares
+    fit over the basis, solve T c = Q^H target; they are solved for the
+    decay rule and once at the end.
 
-    Lockstep: each step, the correlation rows of every running pursuit
-    (U^H or (U U^H target)^H) meet the screen in one complex64 product, and
-    the block scores of all come from one einsum, each block summed in
-    float64. Rescoring, Gram-Schmidt, the decay rule and the residual
-    update run per pursuit on its own float64 arrays. The bound e holds for
-    any summation order of the complex64 products, so each pursuit selects,
-    and returns, exactly what it would alone.
+    Lockstep: every running pursuit has made the same number k of
+    selections, so the state of all is one stack of arrays, a row per
+    pursuit, and the L columns of the k-th block (L the widest block) and
+    their directions sit in the slots kL to kL + L - 1 of Q, Q^H, T and
+    Q^H target, a missing column or direction holding zeros; the residual,
+    the history, the selections, e and the stop flags are rows too. Each
+    step is a fixed number of array operations whatever B is: the update
+    rows of every pursuit meet the screen in one complex64 product and the
+    stack in one broadcast, one einsum and one bincount score every block
+    of every pursuit, Gram-Schmidt runs as batched products over the slots
+    so far once per column position of the widest selected block, and the
+    residual and history of all are updated at once. Only the float64
+    rescoring of close calls, the decay rule's trial solves and the final
+    solves loop over the pursuits concerned. A pursuit that stops leaves
+    the stack. Every float64 operation acts on each row alone with shapes
+    set by the call and the step, and the bound e holds for any summation
+    order of the complex64 products, so each pursuit selects, and returns,
+    exactly what it would alone. The price is memory: T has (L min(K,
+    width))^2 entries per pursuit, K the block budget.
 
     A pursuit stops at min(max_blocks, block count) blocks, a relative
     residual at or below ``tolerance`` or 1e-12, a zero target, or when no
@@ -282,75 +242,155 @@ def _greedy_blocks(
     Returns per target (selected blocks, their column indices, coefficients
     (C, S), relative residual history starting at 1.0).
     """
-    m, s = targets.shape[1:]
-    lengths = partition.lengths
-    num_blocks = partition.num_blocks
+    n, m, s = targets.shape
+    lengths, starts = partition.lengths, partition.starts
+    num_blocks, g = partition.num_blocks, columns.shape[1]
     budget = min(max_blocks, num_blocks)
     width = int(np.sort(lengths)[num_blocks - budget:].sum())
     if max_columns is not None:
         width = min(width, max_columns)
+    widest = int(lengths.max())
+    slots = min(budget, width) * widest  # step k's columns and directions sit in slots k*widest + j
     dtype = np.result_type(columns, targets)
-    pursuits = [_Pursuit(target, width, dtype) for target in targets]
-    # the score index of each float32 of a row of C: block b of target i is i * num_blocks + b
-    owners = np.repeat(np.arange(len(pursuits) * num_blocks), np.tile(2 * lengths, len(pursuits)))
-    score_rounding = 2.0 * _U * (s + 2)  # relative, of the float32 squares and sums over S
-
+    target = np.ascontiguousarray(targets, dtype=dtype)
+    total = np.sqrt(_sq_norms(target))
+    p = SimpleNamespace(  # the running pursuits, a row each; ids are their indices in targets
+        ids=np.arange(n), target=target, residual=target, total=total,
+        q=np.zeros((n, m, slots), dtype), qh=np.zeros((n, slots, m), dtype),
+        t=np.zeros((n, slots, slots), dtype), qy=np.zeros((n, slots, s), dtype),
+        real=np.zeros((n, slots), dtype=bool), filled=np.zeros((n, slots), dtype=bool),
+        history=np.ones((n, budget + 1)), selected=np.zeros((n, budget), dtype=np.intp),
+        used=np.zeros(n, dtype=np.intp), err=np.full(n, _dot_error(m)),
+        halted=total == 0.0,  # a zero target, or the decay rule discarded the last block
+        excluded=np.zeros((n, num_blocks), dtype=bool),  # blocks that are not candidates
+        corr=None,
+    )
+    results = [None] * n
+    # the score index of each column score: block b of target i is i * num_blocks + b
+    owners = np.arange(n * num_blocks)
+    owners = np.repeat(owners, lengths[owners % num_blocks])
+    # relative, of the float32 squares, their sums over S and each column's sum of the two
+    score_rounding = 2.0 * _U * (s + 2)
+    spans, ends, position = lengths.astype(float), starts + lengths, np.arange(widest)
     stop = max(tolerance, _NOISE_FLOOR)
-    live = pursuits  # the running pursuits, in the order of the rows of corr and excluded
-    excluded = np.zeros((len(live), num_blocks), dtype=bool)  # blocks that are not candidates
-    corr = None
-    while True:
-        keep = [
-            i for i, p in enumerate(live)
-            if p.total > 0.0 and not p.decayed and len(p.selected) < budget and p.history[-1] > stop
-        ]
+    for k in range(budget + 1):  # k: the selections of every running pursuit
+        last = p.history[:, k]
+        running = ~p.halted & (last > stop) & (k < budget)
         if max_columns is not None:
-            for i in keep:
-                excluded[i] |= lengths > max_columns - live[i].used
-            keep = [i for i in keep if not excluded[i].all()]
-        if not keep:
+            p.excluded |= lengths > (max_columns - p.used)[:, None]
+            running &= ~p.excluded.all(axis=1)
+        stopped = np.flatnonzero(~running)
+        for i in stopped:
+            done = max(k - p.halted[i], 0)  # a halted pursuit discarded its k-th block
+            chosen = p.selected[i, :done].tolist()
+            cols = [c for b in chosen for c in range(starts[b], ends[b])]
+            solution = _support_coefficients(p, i, done * widest)
+            results[p.ids[i]] = (chosen, cols, solution, p.history[i, :done + 1].tolist())
+        if len(stopped) == len(running):
             break
-        if len(keep) < len(live):
-            live, excluded = [live[i] for i in keep], excluded[keep]
-            if corr is not None:
-                corr = corr[keep]
-        if corr is None:
+        if len(stopped):
+            p = SimpleNamespace(**{name: v if v is None else v[running] for name, v in vars(p).items()})
+            last = last[running]
+        live = np.arange(len(p.ids))
+
+        if p.corr is None:
             screen = _single_precision(columns) if screen is None else screen
-            rows = np.concatenate([p.target.conj().T / p.total for p in live], dtype=np.complex64)
-            corr = (rows @ screen).reshape(len(live), s, -1)  # (B, S, G)
-        elif any(p.new_rank for p in live):
-            moved = [(i, p, p.uy / p.total) for i, p in enumerate(live) if p.new_rank]
-            rows = [p.uh if p.new_rank < s else w.conj().T @ p.uh for _, p, w in moved]
-            product = np.concatenate(rows, dtype=np.complex64) @ screen
-            offset = 0
-            for (i, p, w), row in zip(moved, rows):
-                part = product[offset:offset + len(row)]
-                offset += len(row)
-                w_norm = np.vdot(w, w).real ** 0.5  # bounds every column norm of w
-                if p.new_rank < s:
-                    # np.dot: matmul is several times slower for an inner dimension of 1
-                    corr[i] -= np.dot(w.conj().T.astype(np.complex64), part)
-                    step = w_norm * (p.new_rank ** 0.5 * _dot_error(m) + _dot_error(p.new_rank))
-                else:
-                    corr[i] -= part
-                    step = w_norm * _dot_error(m)
-                p.err = (p.err + step) * (1.0 + _U) + _U * p.history[-1]  # the subtraction rounds too
-        flat = corr.view(np.float32)
+            rows = (p.target.conj().transpose(0, 2, 1) / p.total[:, None, None]).astype(np.complex64)
+            p.corr = _screen_product(rows.reshape(-1, m), screen).reshape(len(live), s, -1)  # (B, S, G)
+        elif p.filled[:, previous].any():
+            # each pursuit's update rows: U^H, or the S rows (U U^H target)^H when
+            # U has at least S columns; rows of missing directions are zero
+            sent = p.filled[:, previous]
+            new = np.count_nonzero(sent, axis=1)
+            w = p.qy[:, previous] / p.total[:, None, None]
+            rows, factor = p.qh[:, previous], w.conj().transpose(0, 2, 1)  # corr -= factor @ (rows @ screen)
+            wide = new >= s
+            if wide.any():
+                rows, sent = rows.copy(), sent.copy()
+                rows[wide, :s], rows[wide, s:] = factor[wide] @ rows[wide], 0
+                factor[wide], sent[wide] = np.eye(s, widest), position < s
+            part = np.zeros((len(live), widest, screen.shape[1]), dtype=np.complex64)
+            part[sent] = _screen_product(rows[sent].astype(np.complex64), screen)
+            factor = factor.astype(np.complex64)
+            p.corr -= factor * part if widest == 1 else factor @ part  # matmul is slow for an inner dimension of 1
+            w_norm = np.sqrt(_sq_norms(w))  # bounds every column norm of w
+            step = np.where(wide, w_norm * _dot_error(m), w_norm * (new ** 0.5 * _dot_error(m) + _dot_error(new)))
+            p.err = np.where(new > 0, (p.err + step) * (1.0 + _U) + _U * last, p.err)  # the subtraction rounds too
+        flat = p.corr.view(np.float32)
         squares = np.einsum("bij,bij->bj", flat, flat)
+        squares = squares[:, 0::2] + squares[:, 1::2]  # |C|^2 summed over S, per column
         score = np.bincount(owners[:squares.size], squares.ravel(), len(live) * num_blocks)
         score = score.reshape(len(live), num_blocks)
-        bound = [[2.0 * p.err * s ** 0.5 * p.history[-1] + s * p.err ** 2] for p in live]
-        slack = lengths * np.array(bound) + score_rounding * score
+        bound = 2.0 * p.err * s ** 0.5 * last + s * p.err ** 2
+        slack = spans * bound[:, None] + score_rounding * score
         if weights is not None:
             score, slack = score * weights, slack * weights
-        score[excluded] = -np.inf  # so both bounds are -inf
+        np.copyto(score, -np.inf, where=p.excluded)  # so both bounds are -inf
         lower = score - slack
         near = score + slack >= lower.max(axis=1, keepdims=True) * (1.0 - _TIE)
-        for i, p in enumerate(live):
-            if p.extend(near[i], columns, partition, weights, decay_floor, column_map):
-                excluded[i, p.selected[-1]] = True
 
-    return [(p.selected, p.cols, _support_coefficients(p.t, p.qy, p.rank, p.used), p.history) for p in pursuits]
+        block = np.argmax(near, axis=1)
+        count = np.count_nonzero(near, axis=1)
+        close = np.flatnonzero(count > 1)
+        if close.size:  # close calls: the candidates' float64 scores over their columns decide
+            row, candidate = np.nonzero(near[close])
+            count = count[close]
+            size = lengths[candidate]
+            first = np.cumsum(size) - size  # each candidate's first column in the lists below
+            col = np.arange(first[-1] + size[-1]) + np.repeat(starts[candidate] - first, size)
+            exact = (columns.T[col, None].conj() @ p.residual[close[np.repeat(row, size)]])[:, 0]  # c^H R
+            exact = np.add.reduceat(np.sum(exact.real ** 2 + exact.imag ** 2, axis=1), first)
+            if weights is not None:
+                exact *= weights[candidate]
+            head = np.cumsum(count) - count  # each close row's first candidate
+            tied = exact >= np.repeat(np.maximum.reduceat(exact, head), count) * (1.0 - _TIE)
+            pick = np.minimum.reduceat(np.where(tied, np.arange(len(row)), len(row)), head)  # the lowest
+            block[close] = candidate[pick]
+
+        # the selected blocks' columns by position, (B, L, M), zero past a block's end
+        current = slice(k * widest, (k + 1) * widest)
+        size = lengths[block]
+        if column_map is None:
+            index = starts[block, None] + position
+            new_cols = columns.T[np.minimum(index, g - 1)] * (index < ends[block, None])[..., None]
+        else:
+            new_cols = np.zeros((len(live), widest, m), dtype)
+            for i in live:
+                new_cols[i, :size[i]] = column_map(columns[:, partition.block_slice(block[i])]).T
+        floor = _DEPENDENT * np.sqrt(_sq_norms(new_cols.reshape(-1, m))).reshape(len(live), widest)
+        q, qh = p.q[:, :, :current.stop], p.qh[:, :current.stop]  # views: the directions so far
+        for j, slot in enumerate(range(current.start, current.start + int(size.max()))):
+            a = new_cols[:, j, :, None]
+            h = qh @ a
+            v = a - q @ h
+            h2 = qh @ v
+            v -= q @ h2
+            h += h2
+            norm = np.sqrt((v.conj().transpose(0, 2, 1) @ v).real)  # (B, 1, 1)
+            grown = norm > floor[:, j, None, None]
+            v /= np.where(grown, norm, np.inf)  # a unit direction, or zero
+            p.t[:, :current.stop, slot:slot + 1], p.t[:, slot, slot] = h, norm[:, 0, 0]
+            p.q[:, :, slot:slot + 1], p.qh[:, slot:slot + 1] = v, v.conj().transpose(0, 2, 1)
+            p.filled[:, slot] = grown[:, 0, 0]
+        p.real[:, current] = position < size[:, None]
+        p.qy[:, current] = p.qh[:, current] @ p.target
+
+        if decay_floor is not None and k:
+            for i in live:
+                trial = _support_coefficients(p, i, (k + 1) * widest)
+                first = trial[: lengths[p.selected[i, 0]]]
+                latest = trial[p.used[i]:]
+                energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
+                # decaying-energy stop: the pursuit ends and discards its k-th block
+                p.halted[i] = float(np.sum(latest.real ** 2 + latest.imag ** 2)) < decay_floor * energy_first
+        p.residual = p.residual - p.q[:, :, current] @ p.qy[:, current]
+        p.history[:, k + 1] = np.sqrt(_sq_norms(p.residual)) / p.total
+        p.selected[:, k] = block
+        p.excluded[live, block] = True
+        p.used += size
+        previous = current
+
+    return results
 
 
 def bsomp_batch(
@@ -375,7 +415,8 @@ def bsomp_batch(
     discarded). Blocks are scored through the measurement's cached
     ``single_precision`` copy, the correlations of all pursuits in one
     product per step (see ``_greedy_blocks``); each result is the one the
-    observation would get alone. The observations must share one shape.
+    observation would get alone. Every observation must have one sample per
+    measurement row, and all must share one subcarrier count.
 
     Returns per observation a RecoveryResult with dictionary-frame
     coefficients (measurement column scales undone) and the reconstruction
@@ -390,6 +431,11 @@ def bsomp_batch(
         raise ConfigurationError("partition must cover the measurement columns")
 
     q = phi.shape[0]
+    shapes = {obs.per_subcarrier.shape for obs in observations}
+    if any(shape[1] != q for shape in shapes):
+        raise ValueError("observation sample count must equal the measurement rows")
+    if len(shapes) > 1:
+        raise ValueError("observations must share one subcarrier count")
     max_len = int(partition.lengths.max())
     if cfg.max_blocks * max_len > q:
         warnings.warn(
@@ -450,12 +496,16 @@ def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:
 def nmse(estimate: Sequence, truth: Sequence) -> float:
     """Normalized mean square error in dB, floored at NMSE_FLOOR_DB.
 
-    10 log10( sum_k ||est_k - true_k||^2 / sum_k ||true_k||^2 ).
+    10 log10( sum_k ||est_k - true_k||^2 / sum_k ||true_k||^2 ). A non-finite
+    entry in either argument is refused, since its nan would poison any mean
+    over instances.
     """
     est = np.asarray(estimate)
     ref = np.asarray(truth)
     if est.shape != ref.shape:
         raise ValueError("estimate and truth must have matching shapes")
+    if not (np.isfinite(est).all() and np.isfinite(ref).all()):
+        raise ValueError("estimate and truth must be finite")
     denom = float(np.sum(np.abs(ref) ** 2))
     if denom == 0.0:
         raise ValueError("truth must not be identically zero")

@@ -2,8 +2,9 @@
 share, checked through both public callers on random shapes and random,
 possibly unequal, block lengths, and against a least-squares-refit oracle of
 the kernel itself; that bsomp_batch, which runs the pursuits of a stack of
-observations in lockstep, returns each observation's lone result; and of
-reconstruct, which bsomp uses for its channel estimates."""
+observations in lockstep, returns each observation's lone result and, for a
+permuted stack, the permuted results; and of reconstruct, which bsomp uses
+for its channel estimates."""
 
 import numpy as np
 import pytest
@@ -239,6 +240,40 @@ def test_batch_returns_each_batch_of_one_result(
         assert result.residual_history == alone.residual_history
         assert np.array_equal(result.coefficients, alone.coefficients)
         assert np.array_equal(result.reconstructed_channels, alone.reconstructed_channels)
+
+
+@pytest.mark.filterwarnings("ignore:selected support may exceed")
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=8),
+    q=st.integers(min_value=4, max_value=12),
+    k=st.integers(min_value=1, max_value=3),
+    kinds=st.lists(st.sampled_from(["random", "zero", "sparse"]), min_size=2, max_size=6),
+    max_blocks=st.integers(min_value=1, max_value=5),
+    tolerance=st.sampled_from([0.0, 0.5]),
+    decay_floor=st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.9)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_permuted_batch_returns_the_permuted_results(lengths, q, k, kinds, max_blocks, tolerance, decay_floor, seed):
+    # pursuits that stop at different steps (zero target, tolerance, decay
+    # rule, exact fit) leave the stack at different times; a row mixed up when
+    # the stack shrinks would give some pursuit another's state
+    partition = BlockPartition(lengths)
+    rng = np.random.default_rng(seed)
+    mm = measurement_matrix(make_pilot_matrix(q, 16, seed), random_dictionary(rng, 16, partition.size, 1))
+    si = SideInformation(decay_floor=decay_floor) if decay_floor is not None else None
+    cfg = RecoveryConfig(max_blocks, tolerance, partition)
+    samples = [_target(rng, kind, mm, partition, k) for kind in kinds]
+    order = rng.permutation(len(samples))
+
+    results = bsomp_batch(mm, [Observation(y, 0.0, np.inf) for y in samples], cfg, si)
+    permuted = bsomp_batch(mm, [Observation(samples[i], 0.0, np.inf) for i in order], cfg, si)
+
+    for i, result in zip(order, permuted):
+        assert result.support_blocks == results[i].support_blocks
+        assert result.residual_history == results[i].residual_history
+        assert np.array_equal(result.coefficients, results[i].coefficients)
+        assert np.array_equal(result.reconstructed_channels, results[i].reconstructed_channels)
 
 
 def test_fitted_pursuit_stops_while_its_batch_runs_on():

@@ -10,6 +10,7 @@ from bdcs import (
     RecoveryConfig,
     SideInformation,
     bsomp,
+    bsomp_batch,
     build_angular_dictionary,
     ls_estimate,
     make_pilot_matrix,
@@ -63,6 +64,13 @@ class TestLsEstimate:
             y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
             est = ls_estimate(pilot, Observation(y, 0.0, np.inf))
             assert np.array_equal(est, (np.linalg.pinv(pilot.entries) @ y.T).T)
+
+
+    def test_refuses_a_pilot_count_mismatch(self):
+        pilot = make_pilot_matrix(128, 64, seed=4)
+        obs = Observation(np.ones((4, 100), dtype=complex), 0.0, np.inf)
+        with pytest.raises(ValueError, match="observation sample count must equal the pilot count"):
+            ls_estimate(pilot, obs)
 
 
 class TestBsompOmpEquivalence:
@@ -196,6 +204,21 @@ class TestBsompInvariants:
         bad = RecoveryConfig(2, 0.0, BlockPartition.uniform(64, 4))
         with pytest.raises(ConfigurationError):
             bsomp(mm, obs, bad)
+
+
+class TestBsompBoundary:
+    def test_refuses_an_observation_of_another_length(self):
+        mm = make_measurement(np.random.default_rng(8), q=128)
+        obs = Observation(np.ones((4, 100), dtype=complex), 0.0, np.inf)
+        with pytest.raises(ValueError, match="observation sample count must equal the measurement rows"):
+            bsomp(mm, obs, RecoveryConfig(2))
+
+    def test_batch_refuses_mixed_subcarrier_counts(self):
+        rng = np.random.default_rng(9)
+        mm = make_measurement(rng, q=128)
+        observations = [Observation(rng.standard_normal((k, 128)) + 0j, 0.0, np.inf) for k in (4, 3)]
+        with pytest.raises(ValueError, match="observations must share one subcarrier count"):
+            bsomp_batch(mm, observations, RecoveryConfig(2))
 
 
 class TestBsompMemo:
@@ -364,6 +387,11 @@ class TestReconstructAndNmse:
         result = RecoveryResult((), coef, np.zeros((1, 8), complex), (1.0,))
         with pytest.raises(ValueError):
             reconstruct(d, result)
+
+    @pytest.mark.parametrize("estimate, truth", [([[np.nan]], [[1.0]]), ([[1.0]], [[np.inf]]), ([[1j * np.inf]], [[1.0]])])
+    def test_nmse_refuses_non_finite_entries(self, estimate, truth):
+        with pytest.raises(ValueError, match="estimate and truth must be finite"):
+            nmse(estimate, truth)
 
     def test_nmse_cases(self):
         h = np.array([[1.0 + 1j, 2.0]])
