@@ -41,7 +41,9 @@ from .dictionaries import (
 )
 from .errors import ConfigurationError
 from .partition import check_profile, complete_bdcs
-from .precoding import MatrixChannel, block_sparse_precoding, check_counts, optimal_precoder, spectral_efficiency
+from .precoding import (
+    MatrixChannel, block_sparse_precoding, check_counts, check_snr, optimal_precoder, spectral_efficiency,
+)
 from .recovery import RecoveryConfig, SideInformation, bsomp, bsomp_batch, ls_estimate, nmse
 from .sensing import make_pilot_matrix, measurement_matrix, observe
 
@@ -493,7 +495,10 @@ def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> li
 def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """Spectral efficiency of the SVD precoder and its hybrid approximations
     (angular and polar dictionaries) versus SNR, single link at the first
-    configured distance. mean_db carries bits/s/Hz here."""
+    configured distance. mean_db carries bits/s/Hz here. An SNR of +inf,
+    which the NMSE sweeps run noiseless, is refused before the first trial."""
+    for snr_db in cfg.snr_db:
+        _build({}, check_snr, snr_db)
     pre = cfg.precoding
     distance = cfg.distance_grid[0]
     angular, polar = _angular_dictionary(cfg), _polar_dictionary(cfg)

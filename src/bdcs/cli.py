@@ -30,10 +30,7 @@ def _load(config_path, seed, trials) -> ExperimentConfig:
         with open(config_path) as fh:
             raw = yaml.safe_load(fh) or {}
     overrides = {k: v for k, v in {"seed": seed, "trials": trials}.items() if v is not None}
-    try:
-        return replace(ExperimentConfig.from_dict(raw), **overrides)
-    except ConfigurationError as exc:
-        raise click.ClickException(str(exc)) from None
+    return replace(ExperimentConfig.from_dict(raw), **overrides)
 
 
 def _common(fn):
@@ -45,7 +42,18 @@ def _common(fn):
     return fn
 
 
-@click.group()
+class _Commands(click.Group):
+    """A ConfigurationError from loading the config or from a command's own
+    check of it ends the command with one ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigurationError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Commands)
 def main():
     """Near-field block-sparse channel estimation and precoding benchmarks."""
 

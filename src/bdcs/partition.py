@@ -161,13 +161,16 @@ def complete_bdcs(
     by_distance: polar when ``distance`` falls inside ``boundary`` (meters,
     as partition_boundary returns it: 0 routes everything to the angular
     domain, inf everything to the polar one), angular otherwise; it requires
-    both, and a negative or nan boundary raises ValueError. by_residual: run
-    both and keep the smaller final relative residual, ties going to the
-    cheaper angular domain. Both pursuits run with ``cfg``; a cfg.partition
-    that does not cover a domain's measurement columns is refused by bsomp.
+    both, and a negative or nan boundary or a non-positive or nan distance
+    raises ValueError. by_residual: run both and keep the smaller final
+    relative residual, ties going to the cheaper angular domain. Both
+    pursuits run with ``cfg``; a cfg.partition that does not cover a
+    domain's measurement columns is refused by bsomp.
     """
     if boundary is not None and not boundary >= 0:  # also rejects nan
         raise ValueError("boundary must be non-negative (inf allowed)")
+    if distance is not None and not distance > 0:  # also rejects nan
+        raise ValueError("distance must be positive (inf allowed)")
     if routing == "by_distance":
         if boundary is None or distance is None:
             raise ConfigurationError("by_distance routing needs a boundary and a distance")

@@ -55,11 +55,11 @@ class PrecoderPair:
             raise ValueError("F_RF and F_BB dimensions do not chain")
         check_counts(n_s, n_t, num_rf_chains=n_rf)
         target = 1.0 / np.sqrt(n_t)
-        if np.any(np.abs(np.abs(self.f_rf) - target) > 1e-10):
-            raise ValueError("every F_RF entry must have modulus 1/sqrt(N_t)")
+        if not np.all(np.abs(np.abs(self.f_rf) - target) <= 1e-10):  # also rejects nan
+            raise ValueError("every F_RF entry must be finite with modulus 1/sqrt(N_t)")
         power = np.linalg.norm(self.f_rf @ self.f_bb) ** 2
-        if abs(power - n_s) > 1e-8:
-            raise ValueError("||F_RF F_BB||_F^2 must equal the stream count")
+        if not abs(power - n_s) <= 1e-8:  # a non-finite F_BB makes the power nan or inf
+            raise ValueError("F_BB must be finite with ||F_RF F_BB||_F^2 equal to the stream count")
 
     @property
     def num_streams(self) -> int:
@@ -81,8 +81,8 @@ class SEReport:
     spectral_efficiency: float
 
     def __post_init__(self):
-        if self.spectral_efficiency < 0:
-            raise ValueError("spectral efficiency must be non-negative")
+        if not 0 <= self.spectral_efficiency < np.inf:  # also rejects nan
+            raise ValueError("spectral efficiency must be finite and non-negative")
 
 
 def check_counts(num_streams: int, num_tx: int, num_rx: Optional[int] = None,
@@ -97,6 +97,13 @@ def check_counts(num_streams: int, num_tx: int, num_rx: Optional[int] = None,
         raise ValueError("num_rf_chains must satisfy N_s <= N_RF <= N_t")
     if block_length is not None and num_rf_chains % block_length != 0:
         raise ConfigurationError("num_rf_chains must be a multiple of the block length")
+
+
+def check_snr(snr_db: float) -> None:
+    """The SNR rule of spectral_efficiency: finite, or -inf (no signal); +inf
+    and nan have no spectral efficiency."""
+    if not snr_db < np.inf:  # also rejects nan
+        raise ValueError(f"snr_db must be finite or -inf for a spectral efficiency, got {snr_db}")
 
 
 def optimal_precoder(channel: MatrixChannel, num_streams: int) -> np.ndarray:
@@ -125,6 +132,8 @@ def block_sparse_precoding(
     budget. Blocks are scored through the dictionary's ``single_precision``.
     """
     f_opt = np.asarray(f_opt)
+    if not np.all(np.isfinite(f_opt)):
+        raise ValueError("f_opt entries must be finite")
     n_t, n_s = f_opt.shape
     if dictionary.num_antennas != n_t:
         raise ValueError("dictionary atom length must match the precoder rows")
@@ -157,7 +166,9 @@ def spectral_efficiency(
     precoder: Union[np.ndarray, PrecoderPair],
     snr_db: float,
 ) -> SEReport:
-    """log2 det(I + rho/N_s * H F F^H H^H) with equal power per stream."""
+    """log2 det(I + rho/N_s * H F F^H H^H) with equal power per stream;
+    ``snr_db`` must pass check_snr."""
+    check_snr(snr_db)
     f = precoder.combined if isinstance(precoder, PrecoderPair) else np.asarray(precoder)
     if f.shape[0] != channel.num_tx:
         raise ValueError("precoder rows must match the transmit antenna count")

@@ -47,9 +47,11 @@ class SideInformation:
 
     previous_support biases block selection through the multiplicative weight
     1 + temporal_gain * exp(-dist/temporal_width), dist being the minimal
-    block-index distance to the previous support. decay_floor (in (0, 1])
-    stops the greedy loop once a new block's energy falls below
-    decay_floor times the first block's energy; None disables the rule.
+    block-index distance to the previous support, whose entries are
+    non-negative integer block indices (each below the block count of the
+    partition a pursuit uses). decay_floor (in (0, 1]) stops the greedy loop
+    once a new block's energy falls below decay_floor times the first
+    block's energy; None disables the rule.
     """
 
     previous_support: tuple = ()
@@ -64,7 +66,10 @@ class SideInformation:
             raise ValueError("temporal_width must be positive")
         if self.decay_floor is not None and not (0.0 < self.decay_floor <= 1.0):
             raise ValueError("decay_floor must lie in (0, 1] or be None")
-        object.__setattr__(self, "previous_support", tuple(self.previous_support))
+        support = tuple(self.previous_support)
+        if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and b >= 0 for b in support):
+            raise ValueError("previous_support must hold non-negative integer block indices")
+        object.__setattr__(self, "previous_support", support)
 
 
 @dataclass(frozen=True)
@@ -113,10 +118,14 @@ def ls_estimate(pilot: PilotMatrix, obs: Observation) -> np.ndarray:
 
 
 def _temporal_weights(num_blocks: int, si: Optional[SideInformation]) -> Optional[np.ndarray]:
-    """BD-SI block weights, or None when ``si`` leaves every weight at 1."""
-    if si is None or si.temporal_gain == 0 or len(si.previous_support) == 0:
+    """BD-SI block weights, or None when ``si`` leaves every weight at 1. A
+    previous block at or beyond ``num_blocks`` is refused."""
+    support = () if si is None else si.previous_support
+    if any(b >= num_blocks for b in support):
+        raise ValueError(f"previous_support indices must be below the block count {num_blocks}")
+    if not support or si.temporal_gain == 0:
         return None
-    prev = np.asarray(si.previous_support, dtype=float)
+    prev = np.asarray(support, dtype=float)
     dist = np.abs(np.arange(num_blocks)[:, None] - prev[None, :]).min(axis=1)
     return 1.0 + si.temporal_gain * np.exp(-dist / si.temporal_width)
 
@@ -207,11 +216,10 @@ def _greedy_blocks(
     Gram-Schmidt with one re-orthogonalisation; a column with (almost) no
     component outside Q adds no direction, so supports wider than M stay
     exact. The new directions U update the residual R <- R - U (U^H target)
-    and the correlation by the cheaper of (U^H target)^H (U^H columns) and
-    (U U^H target)^H columns; that update runs only once another block is
-    known to be admissible. The coefficients, the minimum-norm least-squares
-    fit over the basis, solve T c = Q^H target; they are solved for the
-    decay rule and once at the end.
+    and the correlation by (U^H target)^H (U^H columns); that update runs
+    only once another block is known to be admissible. The coefficients,
+    the minimum-norm least-squares fit over the basis, solve T c = Q^H
+    target; they are solved for the decay rule and once at the end.
 
     Lockstep: every running pursuit has made the same number k of
     selections, so the state of all is one stack of arrays, a row per
@@ -222,16 +230,22 @@ def _greedy_blocks(
     step is a fixed number of array operations whatever B is: the update
     rows of every pursuit meet the screen in one complex64 product and the
     stack in one broadcast, one einsum and one bincount score every block
-    of every pursuit, Gram-Schmidt runs as batched products over the slots
-    so far once per column position of the widest selected block, and the
-    residual and history of all are updated at once. Only the float64
-    rescoring of close calls, the decay rule's trial solves and the final
-    solves loop over the pursuits concerned. A pursuit that stops leaves
-    the stack. Every float64 operation acts on each row alone with shapes
-    set by the call and the step, and the bound e holds for any summation
-    order of the complex64 products, so each pursuit selects, and returns,
-    exactly what it would alone. The price is memory: T has (L min(K,
-    width))^2 entries per pursuit, K the block budget.
+    of every pursuit, the candidate columns of every close call meet the
+    residuals of all close calls in one float64 product, each column
+    keeping its own row's, Gram-Schmidt runs as batched products over the
+    slots so far once per column position of the widest selected block,
+    and the residual and history of all are updated at once. Only the decay
+    rule's trial solves and the final solves loop over the pursuits
+    concerned. A pursuit that stops leaves the stack. Every float64
+    operation on the basis, the residual and the coefficients acts on each
+    row alone with shapes set by the call and the step, and the bound e
+    holds for any summation order of the complex64 products, so each
+    pursuit selects, and returns, exactly what it would alone; the
+    rescoring product's shape depends on the batch, so a close call's exact
+    scores may round otherwise in another batch, which could change a
+    selection only for a score within rounding of the tie width. The price
+    is memory: T has (L min(K, max_columns))^2 entries per pursuit, K the
+    block budget.
 
     A pursuit stops at min(max_blocks, block count) blocks, a relative
     residual at or below ``tolerance`` or 1e-12, a zero target, or when no
@@ -245,12 +259,10 @@ def _greedy_blocks(
     n, m, s = targets.shape
     lengths, starts = partition.lengths, partition.starts
     num_blocks, g = partition.num_blocks, columns.shape[1]
-    budget = min(max_blocks, num_blocks)
-    width = int(np.sort(lengths)[num_blocks - budget:].sum())
-    if max_columns is not None:
-        width = min(width, max_columns)
+    # every block has a column, so max_columns bounds the selections too
+    budget = min(max_blocks, num_blocks, g if max_columns is None else max_columns)
     widest = int(lengths.max())
-    slots = min(budget, width) * widest  # step k's columns and directions sit in slots k*widest + j
+    slots = budget * widest  # step k's columns and directions sit in slots k*widest + j
     dtype = np.result_type(columns, targets)
     target = np.ascontiguousarray(targets, dtype=dtype)
     total = np.sqrt(_sq_norms(target))
@@ -298,23 +310,17 @@ def _greedy_blocks(
             rows = (p.target.conj().transpose(0, 2, 1) / p.total[:, None, None]).astype(np.complex64)
             p.corr = _screen_product(rows.reshape(-1, m), screen).reshape(len(live), s, -1)  # (B, S, G)
         elif p.filled[:, previous].any():
-            # each pursuit's update rows: U^H, or the S rows (U U^H target)^H when
-            # U has at least S columns; rows of missing directions are zero
+            # corr -= w^H (U^H screen), w = U^H target / ||target||; the rows of
+            # missing directions are zero and not sent
             sent = p.filled[:, previous]
             new = np.count_nonzero(sent, axis=1)
             w = p.qy[:, previous] / p.total[:, None, None]
-            rows, factor = p.qh[:, previous], w.conj().transpose(0, 2, 1)  # corr -= factor @ (rows @ screen)
-            wide = new >= s
-            if wide.any():
-                rows, sent = rows.copy(), sent.copy()
-                rows[wide, :s], rows[wide, s:] = factor[wide] @ rows[wide], 0
-                factor[wide], sent[wide] = np.eye(s, widest), position < s
             part = np.zeros((len(live), widest, screen.shape[1]), dtype=np.complex64)
-            part[sent] = _screen_product(rows[sent].astype(np.complex64), screen)
-            factor = factor.astype(np.complex64)
+            part[sent] = _screen_product(p.qh[:, previous][sent].astype(np.complex64), screen)
+            factor = w.conj().transpose(0, 2, 1).astype(np.complex64)
             p.corr -= factor * part if widest == 1 else factor @ part  # matmul is slow for an inner dimension of 1
             w_norm = np.sqrt(_sq_norms(w))  # bounds every column norm of w
-            step = np.where(wide, w_norm * _dot_error(m), w_norm * (new ** 0.5 * _dot_error(m) + _dot_error(new)))
+            step = w_norm * (new ** 0.5 * _dot_error(m) + _dot_error(new))
             p.err = np.where(new > 0, (p.err + step) * (1.0 + _U) + _U * last, p.err)  # the subtraction rounds too
         flat = p.corr.view(np.float32)
         squares = np.einsum("bij,bij->bj", flat, flat)
@@ -338,7 +344,10 @@ def _greedy_blocks(
             size = lengths[candidate]
             first = np.cumsum(size) - size  # each candidate's first column in the lists below
             col = np.arange(first[-1] + size[-1]) + np.repeat(starts[candidate] - first, size)
-            exact = (columns.T[col, None].conj() @ p.residual[close[np.repeat(row, size)]])[:, 0]  # c^H R
+            # (c^H R)^* of every candidate column against every close row's residual,
+            # then of each column against its own row's; conjugating the residuals
+            # spares a copy of the gathered columns
+            exact = (columns.T[col] @ p.residual[close].conj())[np.repeat(row, size), np.arange(len(col))]
             exact = np.add.reduceat(np.sum(exact.real ** 2 + exact.imag ** 2, axis=1), first)
             if weights is not None:
                 exact *= weights[candidate]

@@ -153,3 +153,20 @@ def test_bad_config_value_is_one_error_line(tmp_path):
     assert result.exit_code != 0
     assert result.output.startswith("Error: config key 'partition.eta'")
     assert "Traceback" not in result.output and len(result.output.splitlines()) == 1
+
+
+def test_se_snr_refuses_an_infinite_snr_before_the_first_trial(tmp_path, monkeypatch):
+    # the NMSE sweeps run +inf noiseless; the SE sweep wrote nan rows for it
+    import bdcs.bench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bdcs.bench, "synthesize_matrix_channel", refuse)
+    cfg = write_config(tmp_path, {"snr_db": [10.0, float("inf")], "distances": [6.0]})
+    out = tmp_path / "se.csv"
+    result = CliRunner().invoke(main, ["se-snr", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code != 0
+    assert result.output.startswith("Error: config key 'snr_db'")
+    assert "Traceback" not in result.output and len(result.output.splitlines()) == 1
+    assert not out.exists()

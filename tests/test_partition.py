@@ -228,6 +228,16 @@ class TestCompleteBdcs:
                 routing="by_distance", boundary=boundary, distance=5.0,
             )
 
+    @pytest.mark.parametrize("distance", [np.nan, -5.0, 0.0])
+    def test_by_distance_rejects_non_positive_or_nan_distance(self, distance):
+        # nan went to the angular domain and -5.0 to the polar one
+        obs, _ = self.polar_grid_observation()
+        with pytest.raises(ValueError, match="distance"):
+            complete_bdcs(
+                obs, self.mm_ang, self.mm_pol, self.cfg,
+                routing="by_distance", boundary=10.0, distance=distance,
+            )
+
     def test_by_distance_requires_inputs(self):
         obs, _ = self.polar_grid_observation()
         with pytest.raises(ConfigurationError):

@@ -9,6 +9,7 @@ from bdcs import (
     PathParam,
     PrecoderPair,
     RecoveryConfig,
+    SEReport,
     block_sparse_precoding,
     build_angular_dictionary,
     optimal_precoder,
@@ -184,6 +185,31 @@ class TestBlockSparsePrecoding:
         with pytest.raises(ValueError, match="degenerate precoder"):
             block_sparse_precoding(np.zeros((16, 2), complex), d, 4)
 
+    def test_non_finite_target_refused_before_the_kernel(self, monkeypatch):
+        # a nan target ran the kernel and then failed on the chain count rule
+        import bdcs.precoding
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the greedy kernel ran")
+
+        d = build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1)
+        monkeypatch.setattr(bdcs.precoding, "_greedy_blocks", refuse)
+        with pytest.raises(ValueError, match="^f_opt entries must be finite"):
+            block_sparse_precoding(np.full((16, 2), np.nan), d, 4)
+
+    @pytest.mark.parametrize("stage", ["F_RF", "F_BB"])
+    def test_pair_refuses_non_finite_stages(self, stage):
+        # nan passed both tolerance checks of the pair
+        f_rf = 0.5 * np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=complex)  # orthogonal columns
+        f_bb = np.eye(2, dtype=complex)
+        PrecoderPair(f_rf, f_bb)  # a valid pair
+        if stage == "F_RF":
+            f_rf[1, 1] = np.nan
+        else:
+            f_bb[0, 0] = np.nan
+        with pytest.raises(ValueError, match=stage):
+            PrecoderPair(f_rf, f_bb)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(16)
         d = build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1)
@@ -219,6 +245,22 @@ class TestSpectralEfficiency:
         eigs = np.linalg.eigvalsh(hf @ hf.conj().T)
         oracle = np.sum(np.log2(1.0 + (rho / 2) * np.maximum(eigs, 0)))
         assert report.spectral_efficiency == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("snr_db", [np.inf, np.nan])
+    def test_refuses_snr_without_a_spectral_efficiency(self, snr_db):
+        # +inf gave nan with a slogdet warning
+        channel = MatrixChannel(np.eye(2, 4, dtype=complex))
+        with pytest.raises(ValueError, match="snr_db"):
+            spectral_efficiency(channel, np.eye(4, 2, dtype=complex), snr_db)
+
+    def test_no_signal_has_zero_spectral_efficiency(self):
+        channel = MatrixChannel(np.eye(2, 4, dtype=complex))
+        assert spectral_efficiency(channel, np.eye(4, 2, dtype=complex), -np.inf).spectral_efficiency == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_report_refuses_non_finite_or_negative(self, value):
+        with pytest.raises(ValueError, match="spectral efficiency"):
+            SEReport(value)
 
     def test_monotone_in_snr(self):
         rng = np.random.default_rng(21)

@@ -147,11 +147,13 @@ def test_bsomp_is_scale_equivariant(lengths, k, max_blocks, exponent, seed):
     phase_map=st.booleans(),
     max_columns=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
     duplicate=st.booleans(),
+    stack=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_kernel_matches_lstsq_refit_reference(
-    lengths, m, s, max_blocks, tolerance, weighted, decay_floor, phase_map, max_columns, duplicate, seed
+    lengths, m, s, max_blocks, tolerance, weighted, decay_floor, phase_map, max_columns, duplicate, stack, seed
 ):
+    # a stack of targets runs in lockstep, column_map and max_columns included
     partition = BlockPartition(lengths)
     widest = sum(sorted(lengths)[-max_blocks:])
     # once the residual is zero to rounding (M rows spanned), block scores are
@@ -169,7 +171,7 @@ def test_kernel_matches_lstsq_refit_reference(
         # promise the lowest index
         owners = np.searchsorted(partition.starts, [i, j], side="right") - 1
         assume(max(partition.lengths[owners]) > 1)
-    target = rng.standard_normal((m, s)) + 1j * rng.standard_normal((m, s))
+    targets = rng.standard_normal((stack, m, s)) + 1j * rng.standard_normal((stack, m, s))
     kwargs = dict(
         weights=rng.uniform(0.5, 2.0, partition.num_blocks) if weighted else None,
         decay_floor=decay_floor,
@@ -177,17 +179,18 @@ def test_kernel_matches_lstsq_refit_reference(
         max_columns=max_columns,
     )
 
-    sel, cols, coef, history = _greedy_blocks(columns, target[None], partition, max_blocks, tolerance, **kwargs)[0]
-    basis = columns[:, cols] if kwargs["column_map"] is None else kwargs["column_map"](columns[:, cols])
-    ref_sel, ref_cols, ref_basis, ref_coef, ref_history = greedy_blocks_reference(
-        columns, target, partition, max_blocks, tolerance, **kwargs
-    )
+    results = _greedy_blocks(columns, targets, partition, max_blocks, tolerance, **kwargs)
 
-    assert sel == ref_sel and cols == ref_cols
-    assert np.array_equal(basis, ref_basis)
-    assert coef.shape == ref_coef.shape
-    assert np.linalg.norm(coef - ref_coef) <= 1e-8 * max(np.linalg.norm(ref_coef), 1e-300)
-    np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-8)
+    for target, (sel, cols, coef, history) in zip(targets, results):
+        basis = columns[:, cols] if kwargs["column_map"] is None else kwargs["column_map"](columns[:, cols])
+        ref_sel, ref_cols, ref_basis, ref_coef, ref_history = greedy_blocks_reference(
+            columns, target, partition, max_blocks, tolerance, **kwargs
+        )
+        assert sel == ref_sel and cols == ref_cols
+        assert np.array_equal(basis, ref_basis)
+        assert coef.shape == ref_coef.shape
+        assert np.linalg.norm(coef - ref_coef) <= 1e-8 * max(np.linalg.norm(ref_coef), 1e-300)
+        np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-8)
 
 
 def _target(rng, kind, mm, partition, k):

@@ -330,6 +330,23 @@ class TestSideInformationMechanisms:
         with pytest.raises(ValueError):
             SideInformation(decay_floor=1.5)
 
+    @pytest.mark.parametrize("support", [(1.5,), (-3,), (True,), (2, 1.0)])
+    def test_previous_support_must_be_block_indices(self, support):
+        # 1.5 and -3 silently reweighted the blocks
+        with pytest.raises(ValueError, match="previous_support"):
+            SideInformation(support, temporal_gain=1.0)
+
+    @pytest.mark.parametrize("gain", [0.0, 1.0])
+    def test_previous_support_beyond_the_blocks_refused(self, gain):
+        # 10000 was silently ignored
+        rng = np.random.default_rng(33)
+        mm = make_measurement(rng)
+        _, obs, _ = block_sparse_instance(rng, mm, 2, 3.0)
+        blocks, cfg = mm.dictionary.partition.num_blocks, RecoveryConfig(2, 0.0)
+        bsomp(mm, obs, cfg, SideInformation((blocks - 1,), temporal_gain=gain))
+        with pytest.raises(ValueError, match="previous_support .* block count"):
+            bsomp(mm, obs, cfg, SideInformation((blocks,), temporal_gain=gain))
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"temporal_gain": np.nan}, {"temporal_gain": np.inf}, {"temporal_width": np.nan}],

@@ -114,3 +114,39 @@ def test_exact_copies_tie_to_the_lowest_block(reversed_block):
             columns, target, partition = _duplicate_instance(seed, 1.0)
         selected = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0][0]
         assert selected.index(1) < selected.index(3), seed
+
+
+
+@pytest.mark.parametrize("copy", ["exact", "reversed", "perturbed"])
+def test_stacked_close_calls_are_decided_per_row(copy):
+    # several targets over one column set, so one step rescores several close
+    # rows with several candidates each; every row returns its lone result.
+    # Exact copies (block 3 holds block 1's columns, or them reversed) tie to
+    # the lowest block whatever the residual; a copy perturbed by 1e-8 is
+    # below complex64 resolution, and which block float64 prefers depends
+    # on each row's own residual
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        if copy == "reversed":
+            columns = rng.standard_normal((10, 12)) + 1j * rng.standard_normal((10, 12))
+            columns[:, 9:] = columns[:, 5:2:-1]
+            lean, partition = columns[:, 3:6], BlockPartition.uniform(12, 3)
+        else:
+            columns = rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5))
+            columns[:, 4] = columns[:, 2]
+            if copy == "perturbed":
+                columns[:, 4] += 1e-8 * (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+            lean, partition = columns[:, 2:3], BlockPartition([2, 1, 1, 1])
+        mix = rng.standard_normal((4, lean.shape[1], 2)) + 1j * rng.standard_normal((4, lean.shape[1], 2))
+        targets = lean @ mix + 0.3 * (rng.standard_normal((4, 10, 2)) + 1j * rng.standard_normal((4, 10, 2)))
+
+        results = _greedy_blocks(columns, targets, partition, 4, 0.0)
+
+        for target, (selected, cols, coefficients, history) in zip(targets, results):
+            alone = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0]
+            assert (selected, cols, history) == (alone[0], alone[1], alone[3]), seed
+            assert np.array_equal(coefficients, alone[2]), seed
+            if copy == "perturbed":
+                assert selected == greedy_blocks_reference(columns, target, partition, 4, 0.0)[0], seed
+            else:
+                assert selected.index(1) < selected.index(3), seed
