@@ -411,11 +411,11 @@ class Workbench:
         that keys the channel and noise seeds.
 
         Every pursuit the methods need runs once over the observations of all
-        cells that share its residual tolerance, in lockstep
-        (``bsomp_batch``); ``estimate`` then gets each stored result."""
+        cells in lockstep (``bsomp_batch``), each observation with the
+        residual tolerance of its own SNR; ``estimate`` then gets each stored
+        result."""
         cfg = self.cfg
         observed = []  # per cell, its users' (observation, true channels)
-        by_tolerance: dict = {}  # residual tolerance -> the observations it applies to
         for idx, trial, distance, snr_db in cells:
             pairs = []
             for user in range(cfg.channel.num_users):
@@ -423,13 +423,12 @@ class Workbench:
                 obs = observe(self.pilot, channel, snr_db, _child_seed(cfg.seed, 3, idx, trial, user))
                 pairs.append((obs, channel.per_subcarrier_channels))
             observed.append(pairs)
-            by_tolerance.setdefault(self.residual_tolerance(snr_db), []).extend(obs for obs, _ in pairs)
+        group = [obs for pairs in observed for obs, _ in pairs]
         routed = ("bsomp_angular", "bsomp_polar") if "complete_bdcs" in cfg.methods else ()
-        for tol, group in by_tolerance.items():
-            for kind in _PURSUITS:
-                if kind in cfg.methods or kind in routed:
-                    measurement, recovery_cfg = self.pursuit(kind, tol)
-                    bsomp_batch(measurement, group, recovery_cfg, self.si)
+        for kind in _PURSUITS:
+            if kind in cfg.methods or kind in routed:
+                pursuits = [self.pursuit(kind, self.residual_tolerance(obs.snr_db)) for obs in group]
+                bsomp_batch(pursuits[0][0], group, [recovery_cfg for _, recovery_cfg in pursuits], self.si)
         return [
             {m: float(np.mean([nmse(self.estimate(m, obs), truth) for obs, truth in pairs])) for m in cfg.methods}
             for pairs in observed
@@ -439,11 +438,11 @@ class Workbench:
 MAX_BATCH_OBSERVATIONS = 16
 """Most observations a sweep holds at once. It scores its cells in chunks of
 whole cells with at most this many observations, and never less than one
-cell, so each chunk runs one lockstep batch per pursuit kind and residual
-tolerance. Every observation keeps its stored pursuit results, about 0.38 MB
-at the reference preset (mostly dense (K, G) coefficients), until its cell
-is scored: a larger chunk shares more of each correlation product, but
-holds more memory."""
+cell, so each chunk runs one lockstep batch per pursuit kind, whatever the
+residual tolerances of its observations. Every observation keeps its stored
+pursuit results, about 0.38 MB at the reference preset (mostly dense (K, G)
+coefficients), until its cell is scored: a larger chunk shares more of each
+correlation product, but holds more memory."""
 
 
 def _sweep(cfg: ExperimentConfig, xs, labels, cell_values, cell_size: int, out_path) -> list:

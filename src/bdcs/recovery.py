@@ -19,15 +19,16 @@ bsomp_batch() runs the pursuits of several observations over one measurement
 matrix in lockstep: their float64 state is one stack of arrays, so each
 greedy step is a fixed number of array operations for all of them, with one
 correlation product, and each gets the result it would get alone; bsomp()
-is its batch of one. Each result is stored on its observation, so a
-repeated pursuit returns it without running again. A least-squares
-baseline and the NMSE metric live here as well.
+is its batch of one. The observations of a batch share the block budget and
+partition, and each may have its own residual tolerance. Each result is
+stored on its observation, so a repeated pursuit returns it without running
+again. A least-squares baseline and the NMSE metric live here as well.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -183,7 +184,7 @@ def _screen_product(rows: np.ndarray, screen: np.ndarray) -> np.ndarray:
 
 def _greedy_blocks(
     columns: np.ndarray, targets: np.ndarray, partition: BlockPartition, max_blocks: int,
-    tolerance: float, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
+    tolerance: float | np.ndarray, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
     column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
     screen: Optional[np.ndarray] = None,
 ) -> list:
@@ -226,7 +227,8 @@ def _greedy_blocks(
     pursuit, and the L columns of the k-th block (L the widest block) and
     their directions sit in the slots kL to kL + L - 1 of Q, Q^H, T and
     Q^H target, a missing column or direction holding zeros; the residual,
-    the history, the selections, e and the stop flags are rows too. Each
+    the history, the selections, e, the stop flags and the residual
+    tolerances are rows too, so one batch may mix tolerances. Each
     step is a fixed number of array operations whatever B is: the update
     rows of every pursuit meet the screen in one complex64 product and the
     stack in one broadcast, one einsum and one bincount score every block
@@ -248,7 +250,8 @@ def _greedy_blocks(
     block budget.
 
     A pursuit stops at min(max_blocks, block count) blocks, a relative
-    residual at or below ``tolerance`` or 1e-12, a zero target, or when no
+    residual at or below its ``tolerance`` (one for all targets, or a (B,)
+    array with one per target) or 1e-12, a zero target, or when no
     unselected block fits ``max_columns``; the candidate is discarded and
     the pursuit ends when its coefficient energy falls below
     ``decay_floor`` times the first block's.
@@ -272,6 +275,7 @@ def _greedy_blocks(
         t=np.zeros((n, slots, slots), dtype), qy=np.zeros((n, slots, s), dtype),
         real=np.zeros((n, slots), dtype=bool), filled=np.zeros((n, slots), dtype=bool),
         history=np.ones((n, budget + 1)), selected=np.zeros((n, budget), dtype=np.intp),
+        stop=np.maximum(np.broadcast_to(tolerance, (n,)), _NOISE_FLOOR),  # relative-residual stops
         used=np.zeros(n, dtype=np.intp), err=np.full(n, _dot_error(m)),
         halted=total == 0.0,  # a zero target, or the decay rule discarded the last block
         excluded=np.zeros((n, num_blocks), dtype=bool),  # blocks that are not candidates
@@ -284,10 +288,9 @@ def _greedy_blocks(
     # relative, of the float32 squares, their sums over S and each column's sum of the two
     score_rounding = 2.0 * _U * (s + 2)
     spans, ends, position = lengths.astype(float), starts + lengths, np.arange(widest)
-    stop = max(tolerance, _NOISE_FLOOR)
     for k in range(budget + 1):  # k: the selections of every running pursuit
         last = p.history[:, k]
-        running = ~p.halted & (last > stop) & (k < budget)
+        running = ~p.halted & (last > p.stop) & (k < budget)
         if max_columns is not None:
             p.excluded |= lengths > (max_columns - p.used)[:, None]
             running &= ~p.excluded.all(axis=1)
@@ -405,7 +408,7 @@ def _greedy_blocks(
 def bsomp_batch(
     measurement: MeasurementMatrix,
     observations: Sequence[Observation],
-    cfg: RecoveryConfig,
+    cfg: RecoveryConfig | Sequence[RecoveryConfig],
     si: Optional[SideInformation] = None,
 ) -> tuple[RecoveryResult, ...]:
     """Block simultaneous orthogonal matching pursuit of each observation,
@@ -419,22 +422,37 @@ def bsomp_batch(
     onto the block's new orthonormal directions, which keeps the relative
     residual non-increasing, and the coefficients are the minimum-norm joint
     least-squares fit over the whole accumulated support. Stopping: block
-    budget reached, relative residual at or below cfg.residual_tolerance or
-    1e-12, or the decay rule from ``si`` fires (the offending block is
-    discarded). Blocks are scored through the measurement's cached
-    ``single_precision`` copy, the correlations of all pursuits in one
-    product per step (see ``_greedy_blocks``); each result is the one the
-    observation would get alone. Every observation must have one sample per
-    measurement row, and all must share one subcarrier count.
+    budget reached, relative residual at or below the observation's
+    residual_tolerance or 1e-12, or the decay rule from ``si`` fires (the
+    offending block is discarded). Blocks are scored through the
+    measurement's cached ``single_precision`` copy, the correlations of all
+    pursuits in one product per step (see ``_greedy_blocks``); each result
+    is the one the observation would get alone. Every observation must have
+    one sample per measurement row, and all must share one subcarrier count.
+
+    ``cfg`` is one config for every observation, or one per observation.
+    The configs may differ only in residual_tolerance, so one batch mixes
+    tolerances; a count other than the observations', or configs differing
+    in max_blocks or in partition (by identity, as the stored results are
+    keyed), are refused with a ``ValueError``.
 
     Returns per observation a RecoveryResult with dictionary-frame
     coefficients (measurement column scales undone) and the reconstruction
     A @ x per subcarrier, both read-only. A result is deterministic in its
     inputs, so it is stored on its observation: an observation that already
-    holds a result for the same measurement (by identity), an equal ``cfg``
-    and an equal ``si`` gets the stored object without a pursuit.
+    holds a result for the same measurement (by identity), an equal config
+    and an equal ``si`` gets the stored object without a pursuit, and an
+    observation listed under two configs gets one result for each.
     """
-    partition = cfg.partition if cfg.partition is not None else measurement.dictionary.partition
+    configs = (cfg,) * len(observations) if isinstance(cfg, RecoveryConfig) else tuple(cfg)
+    shared = {(c.max_blocks, c.partition) for c in configs}
+    if len(configs) != len(observations) or len(shared) > 1:
+        raise ValueError("bsomp_batch takes one recovery config, or one per observation, "
+                         "all with the same max_blocks and partition")
+    if not shared:
+        return ()
+    (max_blocks, partition), = shared
+    partition = partition if partition is not None else measurement.dictionary.partition
     phi = measurement.entries
     if partition.size != phi.shape[1]:
         raise ConfigurationError("partition must cover the measurement columns")
@@ -446,34 +464,35 @@ def bsomp_batch(
     if len(shapes) > 1:
         raise ValueError("observations must share one subcarrier count")
     max_len = int(partition.lengths.max())
-    if cfg.max_blocks * max_len > q:
+    if max_blocks * max_len > q:
         warnings.warn(
             "selected support may exceed the pilot dimension; least squares "
             "will be underdetermined",
             stacklevel=2,
         )
 
-    key = (measurement, cfg, si)
-    todo = [obs for obs in dict.fromkeys(observations) if key not in obs._pursuits]
+    # each (observation, config) pair once, and only without a stored result
+    todo = [(obs, c) for obs, c in dict.fromkeys(zip(observations, configs))
+            if (measurement, c, si) not in obs._pursuits]
     if todo:
         # each target (Q, K) a transposed view, as a lone observation's
-        targets = np.stack([obs.per_subcarrier for obs in todo]).transpose(0, 2, 1)
+        targets = np.stack([obs.per_subcarrier for obs, _ in todo]).transpose(0, 2, 1)
         dictionary = measurement.dictionary
         runs = _greedy_blocks(
-            phi, targets, partition, cfg.max_blocks, cfg.residual_tolerance,
+            phi, targets, partition, max_blocks, np.array([c.residual_tolerance for _, c in todo]),
             weights=_temporal_weights(partition.num_blocks, si),
             decay_floor=si.decay_floor if si is not None else None,
             screen=measurement.single_precision,
         )
-        for obs, (selected, cols, solution, history) in zip(todo, runs):
+        for (obs, c), (selected, cols, solution, history) in zip(todo, runs):
             coefficients = np.zeros((targets.shape[2], phi.shape[1]), dtype=np.complex128)
             coefficients[:, cols] = solution.T / measurement.column_scales[cols]
             coefficients.flags.writeable = False
-            result = RecoveryResult(tuple(selected), coefficients, None, tuple(history), domain=dictionary.domain)
-            channels = reconstruct(dictionary, result)
+            channels = _reconstruction(coefficients, dictionary.atoms, np.sort(np.asarray(cols, dtype=np.intp)))
             channels.flags.writeable = False
-            obs._pursuits[key] = replace(result, reconstructed_channels=channels)
-    return tuple(obs._pursuits[key] for obs in observations)
+            obs._pursuits[measurement, c, si] = RecoveryResult(tuple(selected), coefficients, channels,
+                                                               tuple(history), dictionary.domain)
+    return tuple(obs._pursuits[measurement, c, si] for obs, c in zip(observations, configs))
 
 
 def bsomp(
@@ -489,6 +508,15 @@ def bsomp(
     return bsomp_batch(measurement, (obs,), cfg, si)[0]
 
 
+def _reconstruction(coefficients: np.ndarray, atoms: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """coefficients @ atoms.T, given ascending column indices ``cols`` that
+    hold every non-zero coefficient: only the columns of ``cols`` with a
+    non-zero coefficient enter the product, in ascending order, so any such
+    ``cols`` gives the same bytes."""
+    cols = cols[np.any(coefficients[:, cols] != 0, axis=0)]
+    return coefficients[:, cols] @ atoms[:, cols].T
+
+
 def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:
     """Map dictionary-frame coefficients back to channel vectors, (K, N).
 
@@ -498,8 +526,7 @@ def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:
     """
     if result.coefficients.shape[1] != dictionary.num_atoms:
         raise ValueError("coefficient length must equal the dictionary width")
-    cols = np.flatnonzero(np.any(result.coefficients != 0, axis=0))
-    return result.coefficients[:, cols] @ dictionary.atoms[:, cols].T
+    return _reconstruction(result.coefficients, dictionary.atoms, np.flatnonzero(result.coefficients.any(axis=0)))
 
 
 def nmse(estimate: Sequence, truth: Sequence) -> float:

@@ -369,28 +369,28 @@ class TestCellChunks:
         assert runs == [size for size in sizes for _ in range(kinds)]
 
     @pytest.mark.parametrize("tolerance", [0.1, None])
-    def test_a_chunk_batches_by_residual_tolerance(self, monkeypatch, tolerance):
-        # 2 SNRs x 2 trials x 4 users fill one chunk; an SNR-matched tolerance splits it per SNR
+    def test_a_chunk_runs_one_batch_over_its_residual_tolerances(self, monkeypatch, tolerance):
+        # 2 SNRs x 2 trials x 4 users fill one chunk, one kernel run per pursuit
+        # kind; each target stops at the residual tolerance of its own SNR
         import bdcs.recovery
 
         runs, kernel = [], bdcs.recovery._greedy_blocks
 
         def counted(columns, targets, partition, max_blocks, tol, *args, **kwargs):
-            runs.append((len(targets), tol))
+            runs.append((len(targets), np.broadcast_to(tol, len(targets)).tolist()))
             return kernel(columns, targets, partition, max_blocks, tol, *args, **kwargs)
 
         monkeypatch.setattr(bdcs.recovery, "_greedy_blocks", counted)
         cfg = tiny_config(
-            methods=["ls", "bsomp_angular"], snr_db=[0.0, 10.0], distances=[6.0], trials=2,
+            methods=list(VALID_METHODS), snr_db=[0.0, 10.0], distances=[6.0], trials=2,
             channel={"num_users": 4, "paths_per_user": 3},
             recovery={"max_blocks": 3, "residual_tolerance": tolerance},
         )
         run_nmse_vs_snr(cfg)
-        if tolerance is None:
-            bench = Workbench(cfg)
-            assert runs == [(8, bench.residual_tolerance(snr)) for snr in cfg.snr_db]
-        else:
-            assert runs == [(16, tolerance)]
+        bench = Workbench(cfg)
+        per_target = [bench.residual_tolerance(snr) for snr in cfg.snr_db for _ in range(2 * 4)]
+        assert runs == [(16, per_target)] * 3
+        assert len(set(per_target)) == (2 if tolerance is None else 1)
 
     @pytest.mark.parametrize("sweep, raw", [
         (run_nmse_vs_distance, {"distances": [4.0, 6.0, 9.0], "trials": 3}),

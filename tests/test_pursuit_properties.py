@@ -2,8 +2,9 @@
 share, checked through both public callers on random shapes and random,
 possibly unequal, block lengths, and against a least-squares-refit oracle of
 the kernel itself; that bsomp_batch, which runs the pursuits of a stack of
-observations in lockstep, returns each observation's lone result and, for a
-permuted stack, the permuted results; and of reconstruct, which bsomp uses
+observations in lockstep, returns each observation's lone result, also when
+the observations carry different residual tolerances, and, for a permuted
+stack, the permuted results; and of reconstruct, whose rule bsomp shares
 for its channel estimates."""
 
 import numpy as np
@@ -277,6 +278,60 @@ def test_permuted_batch_returns_the_permuted_results(lengths, q, k, kinds, max_b
         assert result.residual_history == results[i].residual_history
         assert np.array_equal(result.coefficients, results[i].coefficients)
         assert np.array_equal(result.reconstructed_channels, results[i].reconstructed_channels)
+
+
+@pytest.mark.filterwarnings("ignore:selected support may exceed")
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=block_lengths,
+    q=st.integers(min_value=2, max_value=12),
+    k=st.integers(min_value=1, max_value=3),
+    # 1.0 stops every pursuit before its first selection
+    entries=st.lists(
+        st.tuples(st.sampled_from(["random", "zero", "sparse"]), st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        min_size=1, max_size=6,
+    ),
+    max_blocks=st.integers(min_value=1, max_value=6),
+    decay_floor=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_batch_of_mixed_tolerances_returns_each_lone_result(lengths, q, k, entries, max_blocks, decay_floor, seed):
+    # each observation carries its own residual tolerance, in a random order
+    partition = BlockPartition(lengths)
+    rng = np.random.default_rng(seed)
+    mm = measurement_matrix(make_pilot_matrix(q, 16, seed), random_dictionary(rng, 16, partition.size, 1))
+    si = SideInformation(decay_floor=decay_floor) if decay_floor is not None else None
+    samples = [_target(rng, kind, mm, partition, k) for kind, _ in entries]
+    configs = [RecoveryConfig(max_blocks, tolerance, partition) for _, tolerance in entries]
+    order = rng.permutation(len(entries))
+
+    results = bsomp_batch(mm, [Observation(samples[i], 0.0, np.inf) for i in order], [configs[i] for i in order], si)
+
+    for i, result in zip(order, results):
+        alone = bsomp(mm, Observation(samples[i], 0.0, np.inf), configs[i], si)
+        assert result.support_blocks == alone.support_blocks
+        assert result.residual_history == alone.residual_history
+        assert np.array_equal(result.coefficients, alone.coefficients)
+        assert np.array_equal(result.reconstructed_channels, alone.reconstructed_channels)
+        assert np.array_equal(result.reconstructed_channels, reconstruct(mm.dictionary, result))
+        if configs[i].residual_tolerance >= 1.0:
+            assert result.support_blocks == () and result.residual_history == (1.0,)
+
+
+def test_an_observation_under_two_tolerances_gets_two_results(monkeypatch):
+    rng = np.random.default_rng(5)
+    partition = BlockPartition.uniform(48, 3)
+    mm = measurement_matrix(make_pilot_matrix(24, 32, 5), random_dictionary(rng, 32, 48, 1))
+    obs = Observation(rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24)), 0.0, np.inf)
+    loose, tight = RecoveryConfig(4, 0.9, partition), RecoveryConfig(4, 0.0, partition)
+    runs = count_kernel_runs(monkeypatch)
+
+    first, second, again = bsomp_batch(mm, [obs, obs, obs], [loose, tight, loose])
+
+    assert runs == [2]  # one target per (observation, config)
+    assert again is first and first is not second
+    assert len(first.support_blocks) < len(second.support_blocks) == 4
+    assert bsomp(mm, obs, loose) is first and bsomp(mm, obs, tight) is second and runs == [2]
 
 
 def test_fitted_pursuit_stops_while_its_batch_runs_on():
