@@ -279,9 +279,9 @@ def _build(keys: Mapping, owner, *args, **kwargs):
 
 def _coerce(key: str, hint, value):
     """Convert a config-file value to its field type: int, float, str, an
-    Optional of one (None passes) or a tuple of one (a number becomes a
-    one-element tuple). Booleans are refused for every number, and
-    fractional numbers for every int."""
+    Optional of one (None passes) or a tuple of one (any value that is not a
+    list or tuple, a string included, becomes its one entry). Booleans are
+    refused for every number, and fractional numbers for every int."""
     if get_origin(hint) is Union:
         if value is None:
             return None
@@ -289,7 +289,7 @@ def _coerce(key: str, hint, value):
     try:
         if get_origin(hint) is not tuple:
             return _number(hint, value)
-        if isinstance(value, (int, float)):
+        if not isinstance(value, (list, tuple)):
             value = (value,)
         item_types = get_args(hint)
         items = tuple(_number(item_types[0], v) for v in value)
@@ -467,28 +467,26 @@ def _sweep(cfg: ExperimentConfig, xs, labels, cell_values, cell_size: int, out_p
     return points
 
 
+def _nmse_sweep(cfg: ExperimentConfig, xs, point, out_path) -> list:
+    """NMSE of every configured method along ``xs``, point(x) giving the
+    (distance, snr_db) of each x."""
+    bench = Workbench(cfg)
+    return _sweep(
+        cfg, xs, cfg.methods,
+        lambda cells: bench.nmse_cells([(x_idx, trial, *point(x)) for x_idx, x, trial in cells]),
+        cfg.channel.num_users, out_path,
+    )
+
+
 def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """NMSE of every configured method across the distance grid, at the first
     configured SNR. Writes CSV when a path is given."""
-    snr_db = cfg.snr_db[0]
-    grid = cfg.distance_grid
-    bench = Workbench(cfg)
-    return _sweep(
-        cfg, grid, cfg.methods,
-        lambda cells: bench.nmse_cells([(d_idx, trial, distance, snr_db) for d_idx, distance, trial in cells]),
-        cfg.channel.num_users, out_path,
-    )
+    return _nmse_sweep(cfg, cfg.distance_grid, lambda distance: (distance, cfg.snr_db[0]), out_path)
 
 
 def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """NMSE versus SNR at the first configured distance."""
-    distance = cfg.distance_grid[0]
-    bench = Workbench(cfg)
-    return _sweep(
-        cfg, cfg.snr_db, cfg.methods,
-        lambda cells: bench.nmse_cells([(s_idx, trial, distance, snr_db) for s_idx, snr_db, trial in cells]),
-        cfg.channel.num_users, out_path,
-    )
+    return _nmse_sweep(cfg, cfg.snr_db, lambda snr_db: (cfg.distance_grid[0], snr_db), out_path)
 
 
 def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:

@@ -28,7 +28,8 @@ class SparsityProfile:
     """Mean blocks needed to capture an energy fraction eta, per distance.
 
     tap_counts derives the conservative integers from mean_taps: the ceiling
-    of each mean, less 1e-9 against rounding noise.
+    of each mean, less 1e-9 against rounding noise. mean_taps holds one mean
+    per distance, and eta lies in (0, 1).
     """
 
     distances: tuple
@@ -39,6 +40,10 @@ class SparsityProfile:
         d = np.asarray(self.distances)
         if d.size == 0 or np.any(np.diff(d) <= 0):
             raise ValueError("distances must be non-empty and strictly increasing")
+        if len(self.mean_taps) != d.size:
+            raise ValueError("mean_taps must hold one mean per distance")
+        if not 0.0 < self.eta < 1.0:  # also rejects nan
+            raise ValueError("eta must lie in (0, 1)")
         if any(t < 1 for t in self.tap_counts):
             raise ValueError("tap_counts must be at least 1")
 

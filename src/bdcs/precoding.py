@@ -130,6 +130,8 @@ def block_sparse_precoding(
     F_RF stacks the blocks as the loop projected them, and F_BB is the
     minimum-norm least-squares fit over them, rescaled to the stream power
     budget. Blocks are scored through the dictionary's ``single_precision``.
+    A ``cfg.partition`` that does not cover the atoms is refused with a
+    ``ConfigurationError``.
     """
     f_opt = np.asarray(f_opt)
     if not np.all(np.isfinite(f_opt)):

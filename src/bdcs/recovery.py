@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dictionaries import BlockPartition, Dictionary, _single_precision
+from .dictionaries import BlockPartition, Dictionary
 from .errors import ConfigurationError
 from .sensing import MeasurementMatrix, Observation, PilotMatrix
 
@@ -185,30 +185,33 @@ def _screen_product(rows: np.ndarray, screen: np.ndarray) -> np.ndarray:
 def _greedy_blocks(
     columns: np.ndarray, targets: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float | np.ndarray, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
-    column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
-    screen: Optional[np.ndarray] = None,
+    column_map: Optional[Callable] = None, max_columns: Optional[int] = None, *, screen: np.ndarray,
 ) -> list:
     """Greedy block pursuit of each target of ``targets`` (B, M, S) over the
-    blocks of ``columns`` (M, G), the B pursuits run in lockstep.
+    blocks of ``columns`` (M, G), the B pursuits run in lockstep. The
+    ``partition`` must cover the G columns, else ``ConfigurationError``;
+    this is the one home of that rule for both callers.
 
     Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
     the residual R, and the best unselected block (exact scores within a
-    relative 1e-12 of the best tie to the lowest index) has its columns,
-    through ``column_map`` when given, appended to the basis. With
-    ``max_columns`` set, a block wider than the columns left is not a
-    candidate.
+    relative 1e-12 of the best tie to the lowest index) has its columns
+    appended to the basis. When ``column_map`` is given, it is called once
+    per step on the (M, C) selected columns of every running pursuit, in
+    row order, and must map each column alone. With ``max_columns`` set, a
+    block wider than the columns left is not a candidate.
 
     Blocks are screened in single precision: C = R^H columns / (||target||
     c_max), c_max the largest column norm, is kept in complex64 against
-    ``screen``, the columns over c_max in complex64 (``_single_precision``,
-    made here when not given). A running bound e on every |C^ - C| starts
-    at _dot_error(M) and grows with each update by the norms of its
-    factors, so block b's screened score is within L_b (2 e sqrt(S) ||R|| +
-    S e^2), plus the rounding of its float32 squares and sums, of the exact
-    one (both times weights[b]). Blocks whose upper bound reaches the best
-    lower bound, less the tie width, are candidates; a lone candidate is
-    selected, otherwise the candidates' float64 scores, over their columns
-    only, decide. So the selection is that of float64 scores, and the
+    ``screen``, the columns over c_max in complex64 (``_single_precision``
+    of ``columns``), which every caller passes from its own cache. A
+    running bound e on every |C^ - C| starts at _dot_error(M) and grows
+    with each update by the norms of its factors, so block b's screened
+    score is within L_b (2 e sqrt(S) ||R|| + S e^2), plus the rounding of
+    its float32 squares and sums, of the exact one (both times
+    weights[b]). Blocks whose upper bound reaches the best lower bound,
+    less the tie width, are candidates; a lone candidate is selected,
+    otherwise the candidates' float64 scores, over their columns only,
+    decide. So the selection is that of float64 scores, and the
     float64 residual, basis and coefficients are those of a float64 loop.
 
     The basis is held as Q T: Q has orthonormal columns, T holds each
@@ -234,11 +237,12 @@ def _greedy_blocks(
     stack in one broadcast, one einsum and one bincount score every block
     of every pursuit, the candidate columns of every close call meet the
     residuals of all close calls in one float64 product, each column
-    keeping its own row's, Gram-Schmidt runs as batched products over the
-    slots so far once per column position of the widest selected block,
-    and the residual and history of all are updated at once. Only the decay
-    rule's trial solves and the final solves loop over the pursuits
-    concerned. A pursuit that stops leaves the stack. Every float64
+    keeping its own row's, one gather fetches the selected columns of every
+    pursuit (and one ``column_map`` call maps them all), Gram-Schmidt runs
+    as batched products over the slots so far once per column position of
+    the widest selected block, and the residual and history of all are
+    updated at once. Only the decay rule's trial solves and the final
+    solves loop over the pursuits concerned. A pursuit that stops leaves the stack. Every float64
     operation on the basis, the residual and the coefficients acts on each
     row alone with shapes set by the call and the step, and the bound e
     holds for any summation order of the complex64 products, so each
@@ -259,11 +263,13 @@ def _greedy_blocks(
     Returns per target (selected blocks, their column indices, coefficients
     (C, S), relative residual history starting at 1.0).
     """
+    if partition.size != columns.shape[1]:
+        raise ConfigurationError("partition must cover the columns")
     n, m, s = targets.shape
     lengths, starts = partition.lengths, partition.starts
-    num_blocks, g = partition.num_blocks, columns.shape[1]
+    num_blocks = partition.num_blocks
     # every block has a column, so max_columns bounds the selections too
-    budget = min(max_blocks, num_blocks, g if max_columns is None else max_columns)
+    budget = min(max_blocks, num_blocks, num_blocks if max_columns is None else max_columns)
     widest = int(lengths.max())
     slots = budget * widest  # step k's columns and directions sit in slots k*widest + j
     dtype = np.result_type(columns, targets)
@@ -276,7 +282,7 @@ def _greedy_blocks(
         real=np.zeros((n, slots), dtype=bool), filled=np.zeros((n, slots), dtype=bool),
         history=np.ones((n, budget + 1)), selected=np.zeros((n, budget), dtype=np.intp),
         stop=np.maximum(np.broadcast_to(tolerance, (n,)), _NOISE_FLOOR),  # relative-residual stops
-        used=np.zeros(n, dtype=np.intp), err=np.full(n, _dot_error(m)),
+        err=np.full(n, _dot_error(m)),
         halted=total == 0.0,  # a zero target, or the decay rule discarded the last block
         excluded=np.zeros((n, num_blocks), dtype=bool),  # blocks that are not candidates
         corr=None,
@@ -292,7 +298,7 @@ def _greedy_blocks(
         last = p.history[:, k]
         running = ~p.halted & (last > p.stop) & (k < budget)
         if max_columns is not None:
-            p.excluded |= lengths > (max_columns - p.used)[:, None]
+            p.excluded |= lengths > (max_columns - np.count_nonzero(p.real, axis=1))[:, None]
             running &= ~p.excluded.all(axis=1)
         stopped = np.flatnonzero(~running)
         for i in stopped:
@@ -309,10 +315,9 @@ def _greedy_blocks(
         live = np.arange(len(p.ids))
 
         if p.corr is None:
-            screen = _single_precision(columns) if screen is None else screen
             rows = (p.target.conj().transpose(0, 2, 1) / p.total[:, None, None]).astype(np.complex64)
             p.corr = _screen_product(rows.reshape(-1, m), screen).reshape(len(live), s, -1)  # (B, S, G)
-        elif p.filled[:, previous].any():
+        else:
             # corr -= w^H (U^H screen), w = U^H target / ||target||; the rows of
             # missing directions are zero and not sent
             sent = p.filled[:, previous]
@@ -359,16 +364,14 @@ def _greedy_blocks(
             pick = np.minimum.reduceat(np.where(tied, np.arange(len(row)), len(row)), head)  # the lowest
             block[close] = candidate[pick]
 
-        # the selected blocks' columns by position, (B, L, M), zero past a block's end
+        # the selected blocks' columns by position, (B, L, M), zero past a block's end,
+        # all mapped at once through column_map
         current = slice(k * widest, (k + 1) * widest)
         size = lengths[block]
-        if column_map is None:
-            index = starts[block, None] + position
-            new_cols = columns.T[np.minimum(index, g - 1)] * (index < ends[block, None])[..., None]
-        else:
-            new_cols = np.zeros((len(live), widest, m), dtype)
-            for i in live:
-                new_cols[i, :size[i]] = column_map(columns[:, partition.block_slice(block[i])]).T
+        real = position < size[:, None]
+        picked = columns.T[(starts[block, None] + position)[real]]
+        new_cols = np.zeros((len(live), widest, m), dtype)
+        new_cols[real] = picked if column_map is None else column_map(picked.T).T
         floor = _DEPENDENT * np.sqrt(_sq_norms(new_cols.reshape(-1, m))).reshape(len(live), widest)
         q, qh = p.q[:, :, :current.stop], p.qh[:, :current.stop]  # views: the directions so far
         for j, slot in enumerate(range(current.start, current.start + int(size.max()))):
@@ -384,14 +387,14 @@ def _greedy_blocks(
             p.t[:, :current.stop, slot:slot + 1], p.t[:, slot, slot] = h, norm[:, 0, 0]
             p.q[:, :, slot:slot + 1], p.qh[:, slot:slot + 1] = v, v.conj().transpose(0, 2, 1)
             p.filled[:, slot] = grown[:, 0, 0]
-        p.real[:, current] = position < size[:, None]
+        p.real[:, current] = real
         p.qy[:, current] = p.qh[:, current] @ p.target
 
         if decay_floor is not None and k:
             for i in live:
                 trial = _support_coefficients(p, i, (k + 1) * widest)
                 first = trial[: lengths[p.selected[i, 0]]]
-                latest = trial[p.used[i]:]
+                latest = trial[-size[i]:]
                 energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
                 # decaying-energy stop: the pursuit ends and discards its k-th block
                 p.halted[i] = float(np.sum(latest.real ** 2 + latest.imag ** 2)) < decay_floor * energy_first
@@ -399,7 +402,6 @@ def _greedy_blocks(
         p.history[:, k + 1] = np.sqrt(_sq_norms(p.residual)) / p.total
         p.selected[:, k] = block
         p.excluded[live, block] = True
-        p.used += size
         previous = current
 
     return results
@@ -454,9 +456,6 @@ def bsomp_batch(
     (max_blocks, partition), = shared
     partition = partition if partition is not None else measurement.dictionary.partition
     phi = measurement.entries
-    if partition.size != phi.shape[1]:
-        raise ConfigurationError("partition must cover the measurement columns")
-
     q = phi.shape[0]
     shapes = {obs.per_subcarrier.shape for obs in observations}
     if any(shape[1] != q for shape in shapes):

@@ -84,6 +84,31 @@ class TestConfig:
             ExperimentConfig.from_dict({"recovery": 4})
 
     @pytest.mark.parametrize(
+        "raw, field, expected",
+        [
+            ({"snr_db": "10"}, "snr_db", (10.0,)),
+            ({"methods": "ls"}, "methods", ("ls",)),
+        ],
+    )
+    def test_a_scalar_for_a_list_key_is_one_entry(self, raw, field, expected):
+        # a string was read character by character: "10" ran the SNRs 1 and 0,
+        # and "ls" was refused as not a subset of the methods
+        assert getattr(ExperimentConfig.from_dict(raw), field) == expected
+
+    @pytest.mark.parametrize(
+        "raw, key, message",
+        [
+            ({"channel": {"angle_range": "01"}}, "channel.angle_range", "expected 2 entries, got 1"),
+            ({"channel": {"angle_range": {"-1": 0, "1": 0}}}, "channel.angle_range", "dict"),
+            ({"snr_db": {"10": 0}}, "snr_db", "dict"),
+        ],
+    )
+    def test_a_string_or_mapping_is_not_split_into_entries(self, raw, key, message):
+        # "01" became the range (0.0, 1.0), and a mapping's keys became entries
+        with pytest.raises(ConfigurationError, match=f"{re.escape(repr(key))}.*{message}"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
         "raw, key",
         [
             ({"trials": 2.5}, "trials"),

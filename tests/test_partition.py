@@ -79,6 +79,17 @@ class TestSparsityProfile:
         with pytest.raises(ValueError):
             sparsity_profile(arr, d, [1.0], eta=1.5, trials=5, seed=0)
 
+    @pytest.mark.parametrize("distances,taps", [((1.0, 2.0, 3.0), (2.0,)), ((1.0,), (2.0, 2.0, 2.0))])
+    def test_one_mean_per_distance(self, distances, taps):
+        # 3 distances and 1 mean gave a boundary of inf; 1 and 3 an IndexError
+        with pytest.raises(ValueError, match="one mean per distance"):
+            SparsityProfile(distances, taps, 0.95)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_eta_outside_the_unit_interval_refused(self, eta):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\)"):
+            SparsityProfile((1.0, 2.0), (2.0, 1.0), eta)
+
 
 class TestSparsityUpperLimit:
     def test_duplicate_columns_no_guarantee(self):

@@ -171,6 +171,17 @@ class TestBlockSparsePrecoding:
         assert isinstance(pair, PrecoderPair)
         assert 2 <= pair.num_chains <= 3
 
+    @pytest.mark.parametrize("columns", [8, 512])
+    def test_partition_must_cover_the_atoms(self, columns):
+        # on 256 atoms an 8-column partition failed inside numpy with a bare
+        # ValueError, and a 512-column one was accepted
+        rng = np.random.default_rng(18)
+        d = build_angular_dictionary(ArrayConfig(256, 30e9), 1, 4)
+        f_opt = optimal_precoder(random_nf_channel(rng, n_t=256), 2)
+        cfg = RecoveryConfig(2, 1e-10, BlockPartition.uniform(columns, 4))
+        with pytest.raises(ConfigurationError, match="partition must cover the columns"):
+            block_sparse_precoding(f_opt, d, 4, cfg)
+
     def test_analog_stage_is_the_projection_of_dictionary_atoms(self):
         rng = np.random.default_rng(17)
         d = build_angular_dictionary(ArrayConfig(32, 30e9), 1, 2)

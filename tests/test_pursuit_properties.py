@@ -26,6 +26,7 @@ from bdcs import (
     measurement_matrix,
     reconstruct,
 )
+from bdcs.dictionaries import _single_precision
 from bdcs.recovery import _greedy_blocks
 from helpers import block_somp_reference, count_kernel_runs, greedy_blocks_reference, random_dictionary
 
@@ -180,7 +181,9 @@ def test_kernel_matches_lstsq_refit_reference(
         max_columns=max_columns,
     )
 
-    results = _greedy_blocks(columns, targets, partition, max_blocks, tolerance, **kwargs)
+    results = _greedy_blocks(
+        columns, targets, partition, max_blocks, tolerance, screen=_single_precision(columns), **kwargs
+    )
 
     for target, (sel, cols, coef, history) in zip(targets, results):
         basis = columns[:, cols] if kwargs["column_map"] is None else kwargs["column_map"](columns[:, cols])

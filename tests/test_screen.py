@@ -20,6 +20,7 @@ from bdcs import (
     synthesize_matrix_channel,
 )
 from bdcs.bench import ExperimentConfig, Workbench
+from bdcs.dictionaries import _single_precision
 from bdcs.recovery import _greedy_blocks
 from helpers import block_somp_reference, greedy_blocks_reference
 
@@ -92,7 +93,7 @@ def _duplicate_instance(seed, scale):
 def test_near_tie_below_single_precision_follows_float64(scale):
     for seed in range(40):
         columns, target, partition = _duplicate_instance(seed, scale)
-        selected = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0][0]
+        selected = _greedy_blocks(columns, target[None], partition, 4, 0.0, screen=_single_precision(columns))[0][0]
         assert selected == greedy_blocks_reference(columns, target, partition, 4, 0.0)[0]
         if selected[0] != 0:  # the copies' exact scores differ by about 1e-9
             assert selected[0] == (3 if scale > 1.0 else 1)
@@ -112,7 +113,7 @@ def test_exact_copies_tie_to_the_lowest_block(reversed_block):
             partition = BlockPartition.uniform(12, 3)
         else:
             columns, target, partition = _duplicate_instance(seed, 1.0)
-        selected = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0][0]
+        selected = _greedy_blocks(columns, target[None], partition, 4, 0.0, screen=_single_precision(columns))[0][0]
         assert selected.index(1) < selected.index(3), seed
 
 
@@ -140,10 +141,11 @@ def test_stacked_close_calls_are_decided_per_row(copy):
         mix = rng.standard_normal((4, lean.shape[1], 2)) + 1j * rng.standard_normal((4, lean.shape[1], 2))
         targets = lean @ mix + 0.3 * (rng.standard_normal((4, 10, 2)) + 1j * rng.standard_normal((4, 10, 2)))
 
-        results = _greedy_blocks(columns, targets, partition, 4, 0.0)
+        screen = _single_precision(columns)
+        results = _greedy_blocks(columns, targets, partition, 4, 0.0, screen=screen)
 
         for target, (selected, cols, coefficients, history) in zip(targets, results):
-            alone = _greedy_blocks(columns, target[None], partition, 4, 0.0)[0]
+            alone = _greedy_blocks(columns, target[None], partition, 4, 0.0, screen=screen)[0]
             assert (selected, cols, history) == (alone[0], alone[1], alone[3]), seed
             assert np.array_equal(coefficients, alone[2]), seed
             if copy == "perturbed":
