@@ -145,8 +145,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"config key 'methods': must be a non-empty subset of {VALID_METHODS}, each named once"
             )
-        if not (len(self.snr_db) and all(np.isfinite(s) or np.isposinf(s) for s in self.snr_db)):
-            raise ConfigurationError("config key 'snr_db': must be non-empty with entries finite or +inf")
+        snr = self.snr_db
+        if not (len(snr) == len(set(snr)) > 0 and all(np.isfinite(s) or np.isposinf(s) for s in snr)):
+            raise ConfigurationError("config key 'snr_db': must be non-empty with distinct entries finite or +inf")
         if self.seed < 0:
             raise ConfigurationError(f"config key 'seed': must be non-negative, got {self.seed}")
         if self.channel.num_users < 1:

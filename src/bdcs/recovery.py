@@ -18,11 +18,13 @@ stops at a relative residual of 1e-12, where scores are rounding noise.
 bsomp_batch() runs the pursuits of several observations over one measurement
 matrix in lockstep: their float64 state is one stack of arrays, so each
 greedy step is a fixed number of array operations for all of them, with one
-correlation product, and each gets the result it would get alone; bsomp()
-is its batch of one. The observations of a batch share the block budget and
-partition, and each may have its own residual tolerance. Each result is
-stored on its observation, so a repeated pursuit returns it without running
-again. A least-squares baseline and the NMSE metric live here as well.
+correlation product and one stacked solve of the support coefficients for
+the decay rule and one for the pursuits that stop, and each gets the result
+it would get alone; bsomp() is its batch of one. The observations of a batch
+share the block budget and partition, and each may have its own residual
+tolerance. Each result is stored on its observation, so a repeated pursuit
+returns it without running again. A least-squares baseline and the NMSE
+metric live here as well.
 """
 
 from __future__ import annotations
@@ -155,16 +157,45 @@ def _dot_error(n: int) -> float:
     return 2.0 * (n + 4) * _U
 
 
-def _support_coefficients(p: SimpleNamespace, i: int, slots: int) -> np.ndarray:
-    """Minimum-norm solution of T c = Q^H target for pursuit ``i`` of the
-    stack ``p`` over its first ``slots`` slots, rows restricted to the
-    directions and columns to the support columns that exist: the
-    minimum-norm least-squares fit of the target over its support."""
-    rows, cols = p.filled[i, :slots], p.real[i, :slots]
-    t, qy = p.t[i, :slots, :slots][rows][:, cols], p.qy[i, :slots][rows]
-    if t.shape[0] == t.shape[1]:
-        return np.linalg.solve(t, qy)
-    return np.linalg.lstsq(t, qy, rcond=None)[0]
+def _support_coefficients(p: SimpleNamespace, rows: np.ndarray, slots: int) -> np.ndarray:
+    """Minimum-norm solutions of T c = Q^H target for the pursuits ``rows``
+    of the stack ``p`` over their first ``slots`` slots, rows of T
+    restricted to the directions and columns to the support columns that
+    exist: the minimum-norm least-squares fit of each target over its
+    support. Returns (len(rows), slots, S), each coefficient in its
+    column's slot and zeros in the other slots.
+
+    All square systems are solved by one ``np.linalg.solve`` over a stack
+    of (slots, slots) systems: a row's support columns move to the front in
+    slot order (a row without a gap is taken as it lies), and the trailing
+    slots hold the identity in T and zeros in Q^H target. LAPACK's LU and
+    back substitution of such a system repeat those of the compact system,
+    so each solution is the compact one bit for bit (checked on random
+    stacks in tests/test_stacked_solve.py); padding the gaps in place would
+    not be. A row with a dependent column (a support column without a
+    direction) is not square and keeps ``lstsq`` on its compact system.
+    """
+    real, filled = p.real[rows, :slots], p.filled[rows, :slots]
+    front = np.arange(slots) < real.sum(axis=1)[:, None]  # where the support columns go
+    t, qy = p.t[rows, :slots, :slots], p.qy[rows, :slots]
+    odd = np.flatnonzero((filled != front).any(axis=1))  # a gap, or a column without a direction
+    if odd.size:
+        dependent = (filled[odd] != real[odd]).any(axis=1)
+        front[odd[dependent]] = False  # an identity system; lstsq solves the row below
+        gap = odd[~dependent]
+        order = np.argsort(~real[gap], axis=1, kind="stable")  # the support columns first, in slot order
+        t[gap], qy[gap] = t[gap[:, None, None], order[:, :, None], order[:, None, :]], qy[gap[:, None], order]
+    if not front.all():
+        t = np.where(front[:, :, None] & front[:, None, :], t, np.eye(slots))
+        qy = np.where(front[:, :, None], qy, 0)
+    x = np.linalg.solve(t, qy)
+    if odd.size:
+        x[gap[:, None], order] = x[gap]  # back to slot order
+        for j in odd[dependent]:
+            i, cols = rows[j], real[j]
+            x[j, cols] = np.linalg.lstsq(p.t[i, :slots, :slots][filled[j]][:, cols], p.qy[i, :slots][filled[j]],
+                                         rcond=None)[0]
+    return x
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -240,9 +271,15 @@ def _greedy_blocks(
     keeping its own row's, one gather fetches the selected columns of every
     pursuit (and one ``column_map`` call maps them all), Gram-Schmidt runs
     as batched products over the slots so far once per column position of
-    the widest selected block, and the residual and history of all are
-    updated at once. Only the decay rule's trial solves and the final
-    solves loop over the pursuits concerned. A pursuit that stops leaves the stack. Every float64
+    the widest selected block, the residual and history of all are
+    updated at once, the decay rule's trial solves of all are one stacked
+    solve, and so are the final solves of the pursuits that stop at a step
+    (``_support_coefficients``; only a pursuit with a dependent column
+    solves alone, by ``lstsq``). A pursuit that stops leaves the stack. The
+    decay rule sums a block's coefficient energy over its L slots, zeros
+    included, by ``_sq_norms``, not by a per-pursuit ``np.sum`` over its
+    columns; the order can change a decision only for an energy ratio
+    within rounding of ``decay_floor``. Every float64
     operation on the basis, the residual and the coefficients acts on each
     row alone with shapes set by the call and the step, and the bound e
     holds for any summation order of the complex64 products, so each
@@ -256,9 +293,9 @@ def _greedy_blocks(
     A pursuit stops at min(max_blocks, block count) blocks, a relative
     residual at or below its ``tolerance`` (one for all targets, or a (B,)
     array with one per target) or 1e-12, a zero target, or when no
-    unselected block fits ``max_columns``; the candidate is discarded and
-    the pursuit ends when its coefficient energy falls below
-    ``decay_floor`` times the first block's.
+    unselected block fits ``max_columns``; the candidate is discarded (its
+    slots lose their column and direction) and the pursuit ends when its
+    coefficient energy falls below ``decay_floor`` times the first block's.
 
     Returns per target (selected blocks, their column indices, coefficients
     (C, S), relative residual history starting at 1.0).
@@ -281,7 +318,7 @@ def _greedy_blocks(
         t=np.zeros((n, slots, slots), dtype), qy=np.zeros((n, slots, s), dtype),
         real=np.zeros((n, slots), dtype=bool), filled=np.zeros((n, slots), dtype=bool),
         history=np.ones((n, budget + 1)), selected=np.zeros((n, budget), dtype=np.intp),
-        stop=np.maximum(np.broadcast_to(tolerance, (n,)), _NOISE_FLOOR),  # relative-residual stops
+        stop=np.maximum(tolerance, np.full(n, _NOISE_FLOOR)),  # relative-residual stops
         err=np.full(n, _dot_error(m)),
         halted=total == 0.0,  # a zero target, or the decay rule discarded the last block
         excluded=np.zeros((n, num_blocks), dtype=bool),  # blocks that are not candidates
@@ -289,8 +326,7 @@ def _greedy_blocks(
     )
     results = [None] * n
     # the score index of each column score: block b of target i is i * num_blocks + b
-    owners = np.arange(n * num_blocks)
-    owners = np.repeat(owners, lengths[owners % num_blocks])
+    owners = (num_blocks * np.arange(n)[:, None] + np.repeat(np.arange(num_blocks), lengths)).ravel()
     # relative, of the float32 squares, their sums over S and each column's sum of the two
     score_rounding = 2.0 * _U * (s + 2)
     spans, ends, position = lengths.astype(float), starts + lengths, np.arange(widest)
@@ -298,15 +334,16 @@ def _greedy_blocks(
         last = p.history[:, k]
         running = ~p.halted & (last > p.stop) & (k < budget)
         if max_columns is not None:
-            p.excluded |= lengths > (max_columns - np.count_nonzero(p.real, axis=1))[:, None]
+            p.excluded |= lengths > (max_columns - p.real.sum(axis=1))[:, None]
             running &= ~p.excluded.all(axis=1)
         stopped = np.flatnonzero(~running)
-        for i in stopped:
-            done = max(k - p.halted[i], 0)  # a halted pursuit discarded its k-th block
-            chosen = p.selected[i, :done].tolist()
-            cols = [c for b in chosen for c in range(starts[b], ends[b])]
-            solution = _support_coefficients(p, i, done * widest)
-            results[p.ids[i]] = (chosen, cols, solution, p.history[i, :done + 1].tolist())
+        if len(stopped):
+            done = np.maximum(k - p.halted[stopped], 0)  # a halted pursuit discarded its k-th block
+            solutions = _support_coefficients(p, stopped, k * widest)
+            for i, d, solution in zip(stopped, done, solutions):
+                chosen = p.selected[i, :d].tolist()
+                cols = [c for b in chosen for c in range(starts[b], ends[b])]
+                results[p.ids[i]] = (chosen, cols, solution[p.real[i, :k * widest]], p.history[i, :d + 1].tolist())
         if len(stopped) == len(running):
             break
         if len(stopped):
@@ -391,13 +428,10 @@ def _greedy_blocks(
         p.qy[:, current] = p.qh[:, current] @ p.target
 
         if decay_floor is not None and k:
-            for i in live:
-                trial = _support_coefficients(p, i, (k + 1) * widest)
-                first = trial[: lengths[p.selected[i, 0]]]
-                latest = trial[-size[i]:]
-                energy_first = float(np.sum(first.real ** 2 + first.imag ** 2))
-                # decaying-energy stop: the pursuit ends and discards its k-th block
-                p.halted[i] = float(np.sum(latest.real ** 2 + latest.imag ** 2)) < decay_floor * energy_first
+            # decaying-energy stop: a pursuit ends, and its k-th block leaves the support
+            trial = _support_coefficients(p, live, current.stop)
+            p.halted = _sq_norms(trial[:, current]) < decay_floor * _sq_norms(trial[:, :widest])
+            p.real[p.halted, current] = p.filled[p.halted, current] = False
         p.residual = p.residual - p.q[:, :, current] @ p.qy[:, current]
         p.history[:, k + 1] = np.sqrt(_sq_norms(p.residual)) / p.total
         p.selected[:, k] = block

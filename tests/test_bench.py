@@ -232,6 +232,7 @@ OUT_OF_RANGE = [
     ("channel.angle_range", {"channel": {"angle_range": [NAN, 0.5]}}),
     ("pilot.fraction", {"pilot": {"fraction": 0.0}}),
     ("snr_db", {"snr_db": []}),
+    ("snr_db", {"snr_db": [10.0, 10.0]}),
     ("distances", {"distances": [5.0, 5.0]}),
     ("distances", {"distances": [10.0, -2.0]}),
     ("distances", {"distances": [float("inf")]}),
