@@ -441,9 +441,11 @@ MAX_BATCH_OBSERVATIONS = 16
 whole cells with at most this many observations, and never less than one
 cell, so each chunk runs one lockstep batch per pursuit kind, whatever the
 residual tolerances of its observations. Every observation keeps its stored
-pursuit results, about 0.38 MB at the reference preset (mostly dense (K, G)
-coefficients), until its cell is scored: a larger chunk shares more of each
-correlation product, but holds more memory."""
+pursuit results, about 0.05 MB at the reference preset (mostly the three
+reconstructed (K, N) channels; the coefficients are kept on the support
+only), until its cell is scored, and a lockstep batch holds state for each
+of its observations: a larger chunk shares more of each correlation product,
+but holds more memory."""
 
 
 def _sweep(cfg: ExperimentConfig, xs, labels, cell_values, cell_size: int, out_path) -> list:

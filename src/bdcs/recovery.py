@@ -22,15 +22,16 @@ correlation product and one stacked solve of the support coefficients for
 the decay rule and one for the pursuits that stop, and each gets the result
 it would get alone; bsomp() is its batch of one. The observations of a batch
 share the block budget and partition, and each may have its own residual
-tolerance. Each result is stored on its observation, so a repeated pursuit
-returns it without running again. A least-squares baseline and the NMSE
-metric live here as well.
+tolerance. Each result holds its support columns and their coefficients,
+not a dense (K, G) matrix, and is stored on its observation, so a repeated
+pursuit returns it without running again. A least-squares baseline and the
+NMSE metric live here as well.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -94,18 +95,50 @@ class RecoveryConfig:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Support blocks in selection order, dictionary-frame coefficients (K, G),
-    reconstructed channels (K, N), and the relative residual trajectory."""
+    """A block-sparse estimate: support blocks in selection order, the
+    ascending column indices of their atoms (C,), those columns'
+    dictionary-frame coefficients (K, C), the dictionary width G,
+    reconstructed channels (K, N), and the relative residual trajectory.
+
+    ``coefficients`` is the (K, G) matrix of the estimate, the support
+    coefficients in their columns and zeros elsewhere, built read-only on
+    each access, so a stored result holds nothing as wide as the dictionary.
+    A dense (K, G) matrix passed as ``coefficients`` (as
+    ``dataclasses.replace(result, coefficients=...)`` does) replaces the
+    support form: its non-zero columns become the support columns.
+    """
 
     support_blocks: tuple
-    coefficients: np.ndarray
+    support_columns: np.ndarray
+    support_coefficients: np.ndarray
+    num_atoms: int
     reconstructed_channels: np.ndarray
     residual_history: tuple
     domain: Optional[str] = None
+    coefficients: InitVar[Optional[np.ndarray]] = None
+
+    def __post_init__(self, coefficients):
+        if coefficients is not None:
+            coefficients = np.asarray(coefficients)
+            cols = np.flatnonzero(coefficients.any(axis=0))
+            object.__setattr__(self, "support_columns", cols)
+            object.__setattr__(self, "support_coefficients", coefficients[:, cols])
+            object.__setattr__(self, "num_atoms", coefficients.shape[1])
 
     @property
     def final_residual(self) -> float:
         return self.residual_history[-1]
+
+
+def _dense_coefficients(result: RecoveryResult) -> np.ndarray:
+    dense = np.zeros((len(result.support_coefficients), result.num_atoms), dtype=np.complex128)
+    dense[:, result.support_columns] = result.support_coefficients
+    dense.flags.writeable = False
+    return dense
+
+
+# set after the decorator, which takes the class attribute as the InitVar's default
+RecoveryResult.coefficients = property(_dense_coefficients)
 
 
 def ls_estimate(pilot: PilotMatrix, obs: Observation) -> np.ndarray:
@@ -259,36 +292,37 @@ def _greedy_blocks(
     Lockstep: every running pursuit has made the same number k of
     selections, so the state of all is one stack of arrays, a row per
     pursuit, and the L columns of the k-th block (L the widest block) and
-    their directions sit in the slots kL to kL + L - 1 of Q, Q^H, T and
-    Q^H target, a missing column or direction holding zeros; the residual,
-    the history, the selections, e, the stop flags and the residual
-    tolerances are rows too, so one batch may mix tolerances. Each
-    step is a fixed number of array operations whatever B is: the update
-    rows of every pursuit meet the screen in one complex64 product and the
-    stack in one broadcast, one einsum and one bincount score every block
-    of every pursuit, the candidate columns of every close call meet the
-    residuals of all close calls in one float64 product, each column
-    keeping its own row's, one gather fetches the selected columns of every
-    pursuit (and one ``column_map`` call maps them all), Gram-Schmidt runs
-    as batched products over the slots so far once per column position of
-    the widest selected block, the residual and history of all are
-    updated at once, the decay rule's trial solves of all are one stacked
-    solve, and so are the final solves of the pursuits that stop at a step
-    (``_support_coefficients``; only a pursuit with a dependent column
-    solves alone, by ``lstsq``). A pursuit that stops leaves the stack. The
-    decay rule sums a block's coefficient energy over its L slots, zeros
-    included, by ``_sq_norms``, not by a per-pursuit ``np.sum`` over its
-    columns; the order can change a decision only for an energy ratio
-    within rounding of ``decay_floor``. Every float64
-    operation on the basis, the residual and the coefficients acts on each
-    row alone with shapes set by the call and the step, and the bound e
-    holds for any summation order of the complex64 products, so each
-    pursuit selects, and returns, exactly what it would alone; the
-    rescoring product's shape depends on the batch, so a close call's exact
-    scores may round otherwise in another batch, which could change a
-    selection only for a score within rounding of the tie width. The price
-    is memory: T has (L min(K, max_columns))^2 entries per pursuit, K the
-    block budget.
+    their directions sit in the slots kL to kL + L - 1 of Q, Q^H, T and Q^H
+    target, a missing column or direction holding zeros; the residual, the
+    history, the selections, e, the stop flags and the residual tolerances
+    are rows too, so one batch may mix tolerances. Each step is a fixed
+    number of array operations whatever B is, but for one float64 product
+    per close call: the update rows of every pursuit, the zero rows of
+    missing directions included, meet the screen in one complex64 product
+    and the stack in one broadcast, one einsum and one bincount score every
+    block of every pursuit, each close call's candidate columns meet its own
+    residual alone (so the rescoring grows with the candidates, not with
+    candidates times close calls), one gather fetches the selected columns
+    of every pursuit (and one ``column_map`` call maps them all),
+    Gram-Schmidt runs as batched products over the slots so far once per
+    column position of the widest selected block, the residual and history
+    of all are updated at once, the decay rule's trial solves of all are one
+    stacked solve, and so are the final solves of the pursuits that stop at
+    a step (``_support_coefficients``; only a pursuit with a dependent
+    column solves alone, by ``lstsq``). A pursuit that stops leaves the
+    stack. The decay rule sums a block's coefficient energy over its L
+    slots, zeros included, by ``_sq_norms``, not by a per-pursuit ``np.sum``
+    over its columns; the order can change a decision only for an energy
+    ratio within rounding of ``decay_floor``. Every float64 operation on the
+    basis, the residual and the coefficients acts on each row alone with
+    shapes set by the call and the step, and the bound e holds for any
+    summation order of the complex64 products, so each pursuit selects, and
+    returns, exactly what it would alone; a close call's candidates may
+    depend on the batch through the screen's rounding, and with them the
+    shape of its rescoring product, so its exact scores may round otherwise
+    in another batch, which could change a selection only for a score within
+    rounding of the tie width. The price is memory: T has (L min(K,
+    max_columns))^2 entries per pursuit, K the block budget.
 
     A pursuit stops at min(max_blocks, block count) blocks, a relative
     residual at or below its ``tolerance`` (one for all targets, or a (B,)
@@ -355,15 +389,15 @@ def _greedy_blocks(
             rows = (p.target.conj().transpose(0, 2, 1) / p.total[:, None, None]).astype(np.complex64)
             p.corr = _screen_product(rows.reshape(-1, m), screen).reshape(len(live), s, -1)  # (B, S, G)
         else:
-            # corr -= w^H (U^H screen), w = U^H target / ||target||; the rows of
-            # missing directions are zero and not sent
-            sent = p.filled[:, previous]
-            new = np.count_nonzero(sent, axis=1)
+            # corr -= w^H (U^H screen), w = U^H target / ||target||; the row of a
+            # missing direction is zero, and so is its product
+            new = np.count_nonzero(p.filled[:, previous], axis=1)
             w = p.qy[:, previous] / p.total[:, None, None]
-            part = np.zeros((len(live), widest, screen.shape[1]), dtype=np.complex64)
-            part[sent] = _screen_product(p.qh[:, previous][sent].astype(np.complex64), screen)
+            part = _screen_product(p.qh[:, previous].reshape(-1, m).astype(np.complex64), screen)
+            part = part.reshape(len(live), widest, -1)
             factor = w.conj().transpose(0, 2, 1).astype(np.complex64)
             p.corr -= factor * part if widest == 1 else factor @ part  # matmul is slow for an inner dimension of 1
+            del part
             w_norm = np.sqrt(_sq_norms(w))  # bounds every column norm of w
             step = w_norm * (new ** 0.5 * _dot_error(m) + _dot_error(new))
             p.err = np.where(new > 0, (p.err + step) * (1.0 + _U) + _U * last, p.err)  # the subtraction rounds too
@@ -384,22 +418,24 @@ def _greedy_blocks(
         count = np.count_nonzero(near, axis=1)
         close = np.flatnonzero(count > 1)
         if close.size:  # close calls: the candidates' float64 scores over their columns decide
-            row, candidate = np.nonzero(near[close])
+            candidate = np.nonzero(near[close])[1]
             count = count[close]
             size = lengths[candidate]
             first = np.cumsum(size) - size  # each candidate's first column in the lists below
             col = np.arange(first[-1] + size[-1]) + np.repeat(starts[candidate] - first, size)
-            # (c^H R)^* of every candidate column against every close row's residual,
-            # then of each column against its own row's; conjugating the residuals
-            # spares a copy of the gathered columns
-            exact = (columns.T[col] @ p.residual[close].conj())[np.repeat(row, size), np.arange(len(col))]
+            head = np.cumsum(count) - count  # each close row's first candidate
+            edges = np.append(first[head], len(col))  # each close row's columns in col
+            # (c^H R)^* of each close row's candidate columns against its own
+            # residual; conjugating the residual spares a copy of the columns
+            exact = np.concatenate([columns.T[col[a:b]] @ p.residual[i].conj()
+                                    for i, a, b in zip(close, edges[:-1], edges[1:])])
             exact = np.add.reduceat(np.sum(exact.real ** 2 + exact.imag ** 2, axis=1), first)
             if weights is not None:
                 exact *= weights[candidate]
-            head = np.cumsum(count) - count  # each close row's first candidate
             tied = exact >= np.repeat(np.maximum.reduceat(exact, head), count) * (1.0 - _TIE)
-            pick = np.minimum.reduceat(np.where(tied, np.arange(len(row)), len(row)), head)  # the lowest
+            pick = np.minimum.reduceat(np.where(tied, np.arange(len(candidate)), len(candidate)), head)  # the lowest
             block[close] = candidate[pick]
+        del flat, squares, score, slack, lower, near  # not held through the next update
 
         # the selected blocks' columns by position, (B, L, M), zero past a block's end,
         # all mapped at once through column_map
@@ -472,13 +508,15 @@ def bsomp_batch(
     in max_blocks or in partition (by identity, as the stored results are
     keyed), are refused with a ``ValueError``.
 
-    Returns per observation a RecoveryResult with dictionary-frame
-    coefficients (measurement column scales undone) and the reconstruction
-    A @ x per subcarrier, both read-only. A result is deterministic in its
-    inputs, so it is stored on its observation: an observation that already
-    holds a result for the same measurement (by identity), an equal config
-    and an equal ``si`` gets the stored object without a pursuit, and an
-    observation listed under two configs gets one result for each.
+    Returns per observation a RecoveryResult with the ascending support
+    columns, their dictionary-frame coefficients (measurement column scales
+    undone; ``coefficients`` scatters them into a (K, G) matrix on access)
+    and the reconstruction A @ x per subcarrier, all read-only. A result is
+    deterministic in its inputs, so it is stored on its observation: an
+    observation that already holds a result for the same measurement (by
+    identity), an equal config and an equal ``si`` gets the stored object
+    without a pursuit, and an observation listed under two configs gets one
+    result for each.
     """
     configs = (cfg,) * len(observations) if isinstance(cfg, RecoveryConfig) else tuple(cfg)
     shared = {(c.max_blocks, c.partition) for c in configs}
@@ -518,12 +556,13 @@ def bsomp_batch(
             screen=measurement.single_precision,
         )
         for (obs, c), (selected, cols, solution, history) in zip(todo, runs):
-            coefficients = np.zeros((targets.shape[2], phi.shape[1]), dtype=np.complex128)
-            coefficients[:, cols] = solution.T / measurement.column_scales[cols]
-            coefficients.flags.writeable = False
-            channels = _reconstruction(coefficients, dictionary.atoms, np.sort(np.asarray(cols, dtype=np.intp)))
-            channels.flags.writeable = False
-            obs._pursuits[measurement, c, si] = RecoveryResult(tuple(selected), coefficients, channels,
+            order = np.argsort(cols)
+            cols = np.asarray(cols, dtype=np.intp)[order]
+            values = solution[order].T / measurement.column_scales[cols]
+            channels = _reconstruction(values, dictionary.atoms, cols)
+            for array in (cols, values, channels):
+                array.flags.writeable = False
+            obs._pursuits[measurement, c, si] = RecoveryResult(tuple(selected), cols, values, phi.shape[1], channels,
                                                                tuple(history), dictionary.domain)
     return tuple(obs._pursuits[measurement, c, si] for obs, c in zip(observations, configs))
 
@@ -541,13 +580,13 @@ def bsomp(
     return bsomp_batch(measurement, (obs,), cfg, si)[0]
 
 
-def _reconstruction(coefficients: np.ndarray, atoms: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """coefficients @ atoms.T, given ascending column indices ``cols`` that
-    hold every non-zero coefficient: only the columns of ``cols`` with a
-    non-zero coefficient enter the product, in ascending order, so any such
-    ``cols`` gives the same bytes."""
-    cols = cols[np.any(coefficients[:, cols] != 0, axis=0)]
-    return coefficients[:, cols] @ atoms[:, cols].T
+def _reconstruction(values: np.ndarray, atoms: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The channels of the coefficients ``values`` (K, C) of the ascending
+    columns ``cols`` of ``atoms``: only the columns with a non-zero
+    coefficient enter the product, in ascending order, so a support column
+    with zero coefficients does not change the bytes."""
+    keep = values.any(axis=0)
+    return values[:, keep] @ atoms[:, cols[keep]].T
 
 
 def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:
@@ -557,9 +596,9 @@ def reconstruct(dictionary: Dictionary, result: RecoveryResult) -> np.ndarray:
     cost follows the support, not the dictionary width. The result can
     differ from the dense coefficients @ atoms.T by a few ulps.
     """
-    if result.coefficients.shape[1] != dictionary.num_atoms:
+    if result.num_atoms != dictionary.num_atoms:
         raise ValueError("coefficient length must equal the dictionary width")
-    return _reconstruction(result.coefficients, dictionary.atoms, np.flatnonzero(result.coefficients.any(axis=0)))
+    return _reconstruction(result.support_coefficients, dictionary.atoms, np.asarray(result.support_columns))
 
 
 def nmse(estimate: Sequence, truth: Sequence) -> float:

@@ -380,7 +380,8 @@ def test_reconstruct_matches_dense_product(n, g, k, density, seed):
     coef = rng.standard_normal((k, g)) + 1j * rng.standard_normal((k, g))
     coef[rng.random((k, g)) >= density] = 0.0
 
-    out = reconstruct(dictionary, RecoveryResult((), coef, None, (1.0,)))
+    cols = np.flatnonzero(coef.any(axis=0))
+    out = reconstruct(dictionary, RecoveryResult((), cols, coef[:, cols], g, None, (1.0,)))
 
     # unit-norm atoms bound each entry's rounding error by about g ulps of sum |coef|
     np.testing.assert_allclose(out, coef @ dictionary.atoms.T, rtol=1e-12, atol=1e-12 * np.abs(coef).sum())

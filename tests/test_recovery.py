@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -285,7 +287,7 @@ class TestBsompMemo:
         mm = make_measurement(rng)
         _, obs, _ = block_sparse_instance(rng, mm, 2, 10.0)
         result = bsomp(mm, obs, RecoveryConfig(3, 0.0))
-        for array in (result.coefficients, result.reconstructed_channels):
+        for array in (result.support_coefficients, result.coefficients, result.reconstructed_channels):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
@@ -300,6 +302,49 @@ class TestBsompMemo:
         with pytest.warns(UserWarning, match="underdetermined"):
             again = bsomp(mm, obs, RecoveryConfig(4, 0.0))
         assert again is first and len(runs) == 1
+
+
+class TestSupportForm:
+    """A stored result keeps its support columns and their coefficients;
+    the dense (K, G) coefficients are derived from them on access."""
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(41)
+        mm = make_measurement(rng)
+        observations = [block_sparse_instance(rng, mm, 2, 10.0, num_subcarriers=2)[1] for _ in range(4)]
+        return mm, bsomp_batch(mm, observations, RecoveryConfig(3, 0.0))
+
+    def test_stored_result_holds_nothing_as_wide_as_the_dictionary(self, batch):
+        mm, results = batch
+        for result in results:
+            arrays = [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+            assert arrays and all(mm.num_columns not in array.shape for array in arrays)
+
+    def test_coefficients_are_the_support_coefficients_scattered(self, batch):
+        mm, results = batch
+        partition = mm.dictionary.partition
+        for result in results:
+            cols = result.support_columns
+            blocks = [np.arange(*partition.block_slice(b).indices(mm.num_columns)) for b in result.support_blocks]
+            assert np.array_equal(cols, np.sort(np.concatenate(blocks)))
+            dense = result.coefficients
+            assert dense.shape == (2, mm.num_columns) and dense.dtype == np.complex128
+            assert not dense.flags.writeable
+            assert not np.delete(dense, cols, axis=1).any()
+            scattered = np.zeros((2, mm.num_columns), dtype=np.complex128)
+            scattered[:, cols] = result.support_coefficients
+            assert dense.tobytes() == scattered.tobytes()
+
+    def test_dense_coefficients_replace_the_support_form(self, batch):
+        _, results = batch
+        moved = results[0].coefficients.copy()
+        moved[:, results[0].support_columns[0]] = 0.0
+        moved[1, 0] = 2.0
+        replaced = dataclasses.replace(results[0], coefficients=moved)
+        assert np.array_equal(replaced.coefficients, moved)
+        assert np.array_equal(replaced.support_columns, np.flatnonzero(moved.any(axis=0)))
+        assert replaced.support_blocks == results[0].support_blocks
 
 
 class TestSideInformationMechanisms:
@@ -398,7 +443,7 @@ class TestReconstructAndNmse:
 
         coef = np.zeros((1, 8), complex)
         coef[0, 5] = 1.0
-        result = RecoveryResult((5,), coef, coef @ d.atoms.T, (1.0, 0.0))
+        result = RecoveryResult((5,), np.array([5]), coef[:, [5]], 8, coef @ d.atoms.T, (1.0, 0.0))
         assert np.allclose(reconstruct(d, result)[0], d.atoms[:, 5], atol=1e-14)
 
     def test_reconstruct_matches_naive_loops(self):
@@ -410,7 +455,8 @@ class TestReconstructAndNmse:
         coef = np.zeros((2, 16), complex)
         cols = rng.choice(16, 4, replace=False)
         coef[:, cols] = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        result = RecoveryResult(tuple(cols), coef, coef @ d.atoms.T, (1.0,))
+        support = np.sort(cols)
+        result = RecoveryResult(tuple(cols), support, coef[:, support], 16, coef @ d.atoms.T, (1.0,))
         out = reconstruct(d, result)
         naive = np.zeros((2, 8), complex)
         for k in range(2):
@@ -423,8 +469,8 @@ class TestReconstructAndNmse:
         d = build_angular_dictionary(arr, 1, 1)
         from bdcs import RecoveryResult
 
-        coef = np.zeros((1, 9), complex)
-        result = RecoveryResult((), coef, np.zeros((1, 8), complex), (1.0,))
+        no_support = np.array([], dtype=int)
+        result = RecoveryResult((), no_support, np.zeros((1, 0), complex), 9, np.zeros((1, 8), complex), (1.0,))
         with pytest.raises(ValueError):
             reconstruct(d, result)
 

@@ -3,6 +3,8 @@ calls in double, so it must select exactly what float64 scores select: on the
 reference preset against plain float64 references, at near ties below
 complex64 resolution, and at exact ties, which go to the lowest block."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,34 @@ def test_stacked_close_calls_are_decided_per_row(copy):
                 assert selected == greedy_blocks_reference(columns, target, partition, 4, 0.0)[0], seed
             else:
                 assert selected.index(1) < selected.index(3), seed
+
+
+def test_close_call_rescoring_grows_with_the_candidates_not_the_close_rows():
+    # 16 targets, each two blocks plus a relative 1e-9 of noise: once both
+    # are selected the residual is noise, the screen's bound cannot separate
+    # any two blocks, and every block of every target is a candidate. Each
+    # close row's candidate columns meet its own residual, so the kernel
+    # gathers about one column set at a time; a product of every close
+    # row's candidates with every close row's residual would gather 16 (8 MB)
+    rng = np.random.default_rng(3)
+    m, g, length, s, count = 64, 512, 4, 2, 16
+    columns = rng.standard_normal((m, g)) + 1j * rng.standard_normal((m, g))
+    columns /= np.linalg.norm(columns, axis=0)
+    partition = BlockPartition.uniform(g, length)
+    targets = np.empty((count, m, s), complex)
+    for target in targets:
+        blocks = rng.choice(g // length, 2, replace=False)
+        cols = np.concatenate([partition.starts[b] + np.arange(length) for b in blocks])
+        target[:] = columns[:, cols] @ (rng.standard_normal((len(cols), s)) + 1j * rng.standard_normal((len(cols), s)))
+    targets += 1e-9 * (rng.standard_normal(targets.shape) + 1j * rng.standard_normal(targets.shape))
+    screen = _single_precision(columns)
+
+    tracemalloc.start()
+    try:
+        results = _greedy_blocks(columns, targets, partition, 4, 0.0, screen=screen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert all(history[-1] < 1e-8 for _, _, _, history in results)
+    assert peak < 8 * columns.nbytes  # 4 MB; half of what 16 gathered column sets take
