@@ -412,9 +412,10 @@ class Workbench:
         that keys the channel and noise seeds.
 
         Every pursuit the methods need runs once over the observations of all
-        cells in lockstep (``bsomp_batch``), each observation with the
-        residual tolerance of its own SNR; ``estimate`` then gets each stored
-        result."""
+        cells in one ``bsomp_batch`` per measurement matrix, each observation
+        with the residual tolerance of its own SNR, so ``somp_polar`` and
+        ``bsomp_polar`` share each observation's first correlation product;
+        ``estimate`` then gets each stored result."""
         cfg = self.cfg
         observed = []  # per cell, its users' (observation, true channels)
         for idx, trial, distance, snr_db in cells:
@@ -426,10 +427,14 @@ class Workbench:
             observed.append(pairs)
         group = [obs for pairs in observed for obs, _ in pairs]
         routed = ("bsomp_angular", "bsomp_polar") if "complete_bdcs" in cfg.methods else ()
+        batches: dict = {}  # per measurement matrix, the (observation, config) pairs of its pursuits
         for kind in _PURSUITS:
             if kind in cfg.methods or kind in routed:
-                pursuits = [self.pursuit(kind, self.residual_tolerance(obs.snr_db)) for obs in group]
-                bsomp_batch(pursuits[0][0], group, [recovery_cfg for _, recovery_cfg in pursuits], self.si)
+                for obs in group:
+                    measurement, recovery_cfg = self.pursuit(kind, self.residual_tolerance(obs.snr_db))
+                    batches.setdefault(measurement, []).append((obs, recovery_cfg))
+        for measurement, pursuits in batches.items():
+            bsomp_batch(measurement, *zip(*pursuits), self.si)
         return [
             {m: float(np.mean([nmse(self.estimate(m, obs), truth) for obs, truth in pairs])) for m in cfg.methods}
             for pairs in observed
@@ -439,7 +444,7 @@ class Workbench:
 MAX_BATCH_OBSERVATIONS = 16
 """Most observations a sweep holds at once. It scores its cells in chunks of
 whole cells with at most this many observations, and never less than one
-cell, so each chunk runs one lockstep batch per pursuit kind, whatever the
+cell, so each chunk runs one batch per measurement matrix, whatever the
 residual tolerances of its observations. Every observation keeps its stored
 pursuit results, about 0.05 MB at the reference preset (mostly the three
 reconstructed (K, N) channels; the coefficients are kept on the support

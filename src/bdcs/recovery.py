@@ -19,10 +19,12 @@ bsomp_batch() runs the pursuits of several observations over one measurement
 matrix in lockstep: their float64 state is one stack of arrays, so each
 greedy step is a fixed number of array operations for all of them, with one
 correlation product and one stacked solve of the support coefficients for
-the decay rule and one for the pursuits that stop, and each gets the result
-it would get alone; bsomp() is its batch of one. The observations of a batch
-share the block budget and partition, and each may have its own residual
-tolerance. Each result holds its support columns and their coefficients,
+the decay rule, whose solutions are also the final coefficients, and one for
+the pursuits that stop on a support no trial solved, and each gets the
+result it would get alone; bsomp() is its batch of one. Each observation of
+a batch has its own config: the pursuits of one block budget and partition
+run in lockstep, and all share each observation's first correlation
+product. Each result holds its support columns and their coefficients,
 not a dense (K, G) matrix, and is stored on its observation, so a repeated
 pursuit returns it without running again. A least-squares baseline and the
 NMSE metric live here as well.
@@ -146,7 +148,8 @@ def ls_estimate(pilot: PilotMatrix, obs: Observation) -> np.ndarray:
 
     Uses the pilot's cached pseudo-inverse, so the SVD runs once per pilot;
     the result is bit-identical to pinv(P) @ y per subcarrier. The
-    observation must have one sample per pilot.
+    observation must have one sample per pilot. The pseudo-inverse, and so
+    the estimate, may differ in its last bits between BLAS thread counts.
     """
     if obs.per_subcarrier.shape[1] != pilot.pilot_count:
         raise ValueError("observation sample count must equal the pilot count")
@@ -246,10 +249,24 @@ def _screen_product(rows: np.ndarray, screen: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None], screen)[:, 0] if len(rows) <= 2 else rows @ screen
 
 
+def _first_correlation(target: np.ndarray, screen: np.ndarray) -> np.ndarray:
+    """The screened correlation of the first greedy step, target^H columns /
+    (||target|| c_max) in complex64, (B, S, G), of the targets (B, M, S) in
+    the kernel's dtype against ``screen``; a zero target gets zeros."""
+    total = np.sqrt(_sq_norms(target))
+    rows = (target.conj().transpose(0, 2, 1) / np.where(total > 0, total, 1.0)[:, None, None]).astype(np.complex64)
+    return _screen_product(rows.reshape(-1, target.shape[1]), screen).reshape(len(target), target.shape[2], -1)
+
+
+_SLOTTED = ("q", "qh", "t", "qy", "solution")
+"""The stack arrays with a slot axis; a stop moves only their filled slots."""
+
+
 def _greedy_blocks(
     columns: np.ndarray, targets: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float | np.ndarray, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
     column_map: Optional[Callable] = None, max_columns: Optional[int] = None, *, screen: np.ndarray,
+    corr0: Optional[np.ndarray] = None,
 ) -> list:
     """Greedy block pursuit of each target of ``targets`` (B, M, S) over the
     blocks of ``columns`` (M, G), the B pursuits run in lockstep. The
@@ -267,7 +284,10 @@ def _greedy_blocks(
     Blocks are screened in single precision: C = R^H columns / (||target||
     c_max), c_max the largest column norm, is kept in complex64 against
     ``screen``, the columns over c_max in complex64 (``_single_precision``
-    of ``columns``), which every caller passes from its own cache. A
+    of ``columns``), which every caller passes from its own cache. C of the
+    first step is ``_first_correlation`` of the targets, or ``corr0`` when
+    given: that of each target, which a caller that runs several pursuits
+    on one target computes once for all; it is not written to. A
     running bound e on every |C^ - C| starts at _dot_error(M) and grows
     with each update by the norms of its factors, so block b's screened
     score is within L_b (2 e sqrt(S) ||R|| + S e^2), plus the rounding of
@@ -287,7 +307,8 @@ def _greedy_blocks(
     and the correlation by (U^H target)^H (U^H columns); that update runs
     only once another block is known to be admissible. The coefficients,
     the minimum-norm least-squares fit over the basis, solve T c = Q^H
-    target; they are solved for the decay rule and once at the end.
+    target; they are solved for the decay rule, and at the end only for a
+    support the decay rule's trials did not solve.
 
     Lockstep: every running pursuit has made the same number k of
     selections, so the state of all is one stack of arrays, a row per
@@ -308,9 +329,19 @@ def _greedy_blocks(
     column position of the widest selected block, the residual and history
     of all are updated at once, the decay rule's trial solves of all are one
     stacked solve, and so are the final solves of the pursuits that stop at
-    a step (``_support_coefficients``; only a pursuit with a dependent
-    column solves alone, by ``lstsq``). A pursuit that stops leaves the
-    stack. The decay rule sums a block's coefficient energy over its L
+    a step on a support no trial solved (``_support_coefficients``; only a
+    pursuit with a dependent column solves alone, by ``lstsq``). A trial
+    at step k >= 1 solves the k + 1 blocks so far, which are the final
+    support of a pursuit that stops for its budget or tolerance at the next
+    step; a pursuit the trial halts keeps the support that the trial of
+    step k - 1 solved; so only a final support of one block, or every one
+    with the rule off, is solved at the stop. The trial and the stop solve
+    the same system over the same slots, or, for a halted pursuit, over
+    slots that differ by trailing identity padding, which leaves the
+    solution as it is, so the result is that of a solve at the stop bit for
+    bit. A pursuit that stops leaves the stack, which shrinks in place:
+    each row past the first stopped one moves up, by its k L filled slots
+    only in Q, Q^H, T, Q^H target and the stored solutions. The decay rule sums a block's coefficient energy over its L
     slots, zeros included, by ``_sq_norms``, not by a per-pursuit ``np.sum``
     over its columns; the order can change a decision only for an energy
     ratio within rounding of ``decay_floor``. Every float64 operation on the
@@ -356,7 +387,8 @@ def _greedy_blocks(
         err=np.full(n, _dot_error(m)),
         halted=total == 0.0,  # a zero target, or the decay rule discarded the last block
         excluded=np.zeros((n, num_blocks), dtype=bool),  # blocks that are not candidates
-        corr=None,
+        solution=np.zeros((n, slots, s), dtype),  # each support's coefficients, once a decay trial solved them
+        corr=corr0,
     )
     results = [None] * n
     # the score index of each column score: block b of target i is i * num_blocks + b
@@ -371,23 +403,36 @@ def _greedy_blocks(
             p.excluded |= lengths > (max_columns - p.real.sum(axis=1))[:, None]
             running &= ~p.excluded.all(axis=1)
         stopped = np.flatnonzero(~running)
+        held = slice(k * widest)  # the filled slots; the later ones are zero in every row
         if len(stopped):
             done = np.maximum(k - p.halted[stopped], 0)  # a halted pursuit discarded its k-th block
-            solutions = _support_coefficients(p, stopped, k * widest)
-            for i, d, solution in zip(stopped, done, solutions):
+            # under the decay rule, a trial solved every final support of two or more blocks
+            fresh = stopped if decay_floor is None else stopped[done < 2]
+            if fresh.size and k:
+                p.solution[fresh, held] = _support_coefficients(p, fresh, held.stop)
+            for i, d in zip(stopped, done):
                 chosen = p.selected[i, :d].tolist()
                 cols = [c for b in chosen for c in range(starts[b], ends[b])]
-                results[p.ids[i]] = (chosen, cols, solution[p.real[i, :k * widest]], p.history[i, :d + 1].tolist())
+                results[p.ids[i]] = (chosen, cols, p.solution[i, held][p.real[i, held]], p.history[i, :d + 1].tolist())
         if len(stopped) == len(running):
             break
         if len(stopped):
-            p = SimpleNamespace(**{name: v if v is None else v[running] for name, v in vars(p).items()})
+            # the stack shrinks in place: each row past the first stopped one moves up,
+            # by its filled slots only in the arrays with a slot axis
+            keep = np.flatnonzero(running)
+            to, moved = slice(stopped[0], len(keep)), keep[stopped[0]:]
+            p.q[to, :, held] = p.q[moved, :, held]
+            p.t[to, held, held] = p.t[moved, held, held]
+            for v in (p.qh, p.qy, p.solution):
+                v[to, held] = v[moved, held]
+            p = SimpleNamespace(**{name: v if v is None else v[:len(keep)] if name in _SLOTTED else v[running]
+                                   for name, v in vars(p).items()})
             last = last[running]
         live = np.arange(len(p.ids))
 
-        if p.corr is None:
-            rows = (p.target.conj().transpose(0, 2, 1) / p.total[:, None, None]).astype(np.complex64)
-            p.corr = _screen_product(rows.reshape(-1, m), screen).reshape(len(live), s, -1)  # (B, S, G)
+        if not k:
+            if p.corr is None:
+                p.corr = _first_correlation(p.target, screen)
         else:
             # corr -= w^H (U^H screen), w = U^H target / ||target||; the row of a
             # missing direction is zero, and so is its product
@@ -396,8 +441,10 @@ def _greedy_blocks(
             part = _screen_product(p.qh[:, previous].reshape(-1, m).astype(np.complex64), screen)
             part = part.reshape(len(live), widest, -1)
             factor = w.conj().transpose(0, 2, 1).astype(np.complex64)
-            p.corr -= factor * part if widest == 1 else factor @ part  # matmul is slow for an inner dimension of 1
-            del part
+            update = factor * part if widest == 1 else factor @ part  # matmul is slow for an inner dimension of 1
+            # in place, but for corr0, the caller's array, which is not written to
+            p.corr = np.subtract(p.corr, update, out=update if p.corr is corr0 else p.corr)
+            del part, update
             w_norm = np.sqrt(_sq_norms(w))  # bounds every column norm of w
             step = w_norm * (new ** 0.5 * _dot_error(m) + _dot_error(new))
             p.err = np.where(new > 0, (p.err + step) * (1.0 + _U) + _U * last, p.err)  # the subtraction rounds too
@@ -468,6 +515,8 @@ def _greedy_blocks(
             trial = _support_coefficients(p, live, current.stop)
             p.halted = _sq_norms(trial[:, current]) < decay_floor * _sq_norms(trial[:, :widest])
             p.real[p.halted, current] = p.filled[p.halted, current] = False
+            # a halted pursuit keeps the solution of the last step's trial
+            np.copyto(p.solution[:, :current.stop], trial, where=~p.halted[:, None, None])
         p.residual = p.residual - p.q[:, :, current] @ p.qy[:, current]
         p.history[:, k + 1] = np.sqrt(_sq_norms(p.residual)) / p.total
         p.selected[:, k] = block
@@ -502,11 +551,15 @@ def bsomp_batch(
     is the one the observation would get alone. Every observation must have
     one sample per measurement row, and all must share one subcarrier count.
 
-    ``cfg`` is one config for every observation, or one per observation.
-    The configs may differ only in residual_tolerance, so one batch mixes
-    tolerances; a count other than the observations', or configs differing
-    in max_blocks or in partition (by identity, as the stored results are
-    keyed), are refused with a ``ValueError``.
+    ``cfg`` is one config for every observation, or one per observation;
+    a count other than the observations' is refused with a ``ValueError``.
+    The configs may differ in residual_tolerance, max_blocks and partition.
+    The pursuits of one max_blocks and partition (by identity, as the
+    stored results are keyed; None is the measurement's own) run in one
+    lockstep batch, each with its own tolerance, and the first correlation
+    product of each observation is computed once for all of them, so the
+    pursuits of one observation under several budgets or partitions share
+    it.
 
     Returns per observation a RecoveryResult with the ascending support
     columns, their dictionary-frame coefficients (measurement column scales
@@ -519,14 +572,8 @@ def bsomp_batch(
     result for each.
     """
     configs = (cfg,) * len(observations) if isinstance(cfg, RecoveryConfig) else tuple(cfg)
-    shared = {(c.max_blocks, c.partition) for c in configs}
-    if len(configs) != len(observations) or len(shared) > 1:
-        raise ValueError("bsomp_batch takes one recovery config, or one per observation, "
-                         "all with the same max_blocks and partition")
-    if not shared:
-        return ()
-    (max_blocks, partition), = shared
-    partition = partition if partition is not None else measurement.dictionary.partition
+    if len(configs) != len(observations):
+        raise ValueError("bsomp_batch takes one recovery config, or one per observation")
     phi = measurement.entries
     q = phi.shape[0]
     shapes = {obs.per_subcarrier.shape for obs in observations}
@@ -534,36 +581,49 @@ def bsomp_batch(
         raise ValueError("observation sample count must equal the measurement rows")
     if len(shapes) > 1:
         raise ValueError("observations must share one subcarrier count")
-    max_len = int(partition.lengths.max())
-    if max_blocks * max_len > q:
+    own = measurement.dictionary.partition
+    kinds = {(c.max_blocks, c.partition if c.partition is not None else own) for c in configs}
+    if any(blocks * int(partition.lengths.max()) > q for blocks, partition in kinds):
         warnings.warn(
             "selected support may exceed the pilot dimension; least squares "
             "will be underdetermined",
             stacklevel=2,
         )
+    weights = {partition: _temporal_weights(partition.num_blocks, si) for _, partition in kinds}
 
-    # each (observation, config) pair once, and only without a stored result
-    todo = [(obs, c) for obs, c in dict.fromkeys(zip(observations, configs))
-            if (measurement, c, si) not in obs._pursuits]
+    # the (observation, config) pairs without a stored result, each once, by block budget and partition
+    todo: dict = {}
+    for obs, c in dict.fromkeys(zip(observations, configs)):
+        if (measurement, c, si) not in obs._pursuits:
+            todo.setdefault((c.max_blocks, c.partition if c.partition is not None else own), []).append((obs, c))
+
     if todo:
-        # each target (Q, K) a transposed view, as a lone observation's
-        targets = np.stack([obs.per_subcarrier for obs, _ in todo]).transpose(0, 2, 1)
+        # each target (Q, K) a transposed view, as a lone observation's, and its first correlation once
+        distinct = list(dict.fromkeys(obs for pairs in todo.values() for obs, _ in pairs))
+        samples = np.stack([obs.per_subcarrier for obs in distinct])
+        targets = np.ascontiguousarray(samples.transpose(0, 2, 1), dtype=np.result_type(phi, samples))
+        corr0 = _first_correlation(targets, measurement.single_precision)
+        corr0.flags.writeable = False  # shared by the runs below
+        row = {obs: i for i, obs in enumerate(distinct)}
         dictionary = measurement.dictionary
-        runs = _greedy_blocks(
-            phi, targets, partition, max_blocks, np.array([c.residual_tolerance for _, c in todo]),
-            weights=_temporal_weights(partition.num_blocks, si),
-            decay_floor=si.decay_floor if si is not None else None,
-            screen=measurement.single_precision,
-        )
-        for (obs, c), (selected, cols, solution, history) in zip(todo, runs):
-            order = np.argsort(cols)
-            cols = np.asarray(cols, dtype=np.intp)[order]
-            values = solution[order].T / measurement.column_scales[cols]
-            channels = _reconstruction(values, dictionary.atoms, cols)
-            for array in (cols, values, channels):
-                array.flags.writeable = False
-            obs._pursuits[measurement, c, si] = RecoveryResult(tuple(selected), cols, values, phi.shape[1], channels,
-                                                               tuple(history), dictionary.domain)
+        for (max_blocks, partition), pairs in todo.items():
+            rows = [row[obs] for obs, _ in pairs]
+            index = slice(None) if rows == list(range(len(distinct))) else rows  # a view where it can be
+            runs = _greedy_blocks(
+                phi, targets[index], partition, max_blocks, np.array([c.residual_tolerance for _, c in pairs]),
+                weights=weights[partition],
+                decay_floor=si.decay_floor if si is not None else None,
+                screen=measurement.single_precision, corr0=corr0[index],
+            )
+            for (obs, c), (selected, cols, solution, history) in zip(pairs, runs):
+                order = np.argsort(cols)
+                cols = np.asarray(cols, dtype=np.intp)[order]
+                values = solution[order].T / measurement.column_scales[cols]
+                channels = _reconstruction(values, dictionary.atoms, cols)
+                for array in (cols, values, channels):
+                    array.flags.writeable = False
+                obs._pursuits[measurement, c, si] = RecoveryResult(
+                    tuple(selected), cols, values, phi.shape[1], channels, tuple(history), dictionary.domain)
     return tuple(obs._pursuits[measurement, c, si] for obs, c in zip(observations, configs))
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -394,6 +395,25 @@ class TestCellChunks:
         run_nmse_vs_distance(cfg)
         assert runs == [size for size in sizes for _ in range(kinds)]
 
+    def test_one_first_correlation_per_measurement_per_chunk(self, monkeypatch):
+        # somp_polar and bsomp_polar run on one polar measurement and the same
+        # observations, so each chunk screens them once there, and once on the
+        # angular one; the kernel runs take their rows and compute none
+        import bdcs.recovery
+
+        products, first = [], bdcs.recovery._first_correlation
+
+        def counted(target, screen):
+            products.append((screen.shape[1], len(target)))
+            return first(target, screen)
+
+        monkeypatch.setattr(bdcs.recovery, "_first_correlation", counted)
+        cfg = tiny_config(channel={"num_users": 4, "paths_per_user": 3}, distances=[4.0, 6.0, 9.0], trials=2)
+        bench = Workbench(cfg)
+        run_nmse_vs_distance(cfg)
+        polar, angular = bench.polar.num_atoms, bench.angular.num_atoms
+        assert products == [(polar, 16), (angular, 16), (polar, 8), (angular, 8)]  # chunks of 16 and 8
+
     @pytest.mark.parametrize("tolerance", [0.1, None])
     def test_a_chunk_runs_one_batch_over_its_residual_tolerances(self, monkeypatch, tolerance):
         # 2 SNRs x 2 trials x 4 users fill one chunk, one kernel run per pursuit
@@ -537,30 +557,49 @@ def test_write_curve_csv_format(tmp_path):
 
 
 _SWEEPS = """
-import sys
+import json, sys
 from bdcs.bench import ExperimentConfig, run_nmse_vs_distance, run_nmse_vs_snr, run_se_vs_snr
-run_nmse_vs_distance(ExperimentConfig.from_dict({"trials": 1, "seed": 5}), sys.argv[1] + "/nmse.csv")
+distance = run_nmse_vs_distance(ExperimentConfig.from_dict({"trials": 1, "seed": 5}), sys.argv[1] + "/nmse.csv")
 run_se_vs_snr(ExperimentConfig.from_dict({"trials": 2, "seed": 5, "snr_db": [0, 10]}), sys.argv[1] + "/se.csv")
 # the observations of a chunk stop after different numbers of blocks, so the lockstep
 # products change shape from step to step
-run_nmse_vs_snr(ExperimentConfig.from_dict({
+snr = run_nmse_vs_snr(ExperimentConfig.from_dict({
     "trials": 1, "seed": 5, "snr_db": [-10, -5, 0, 5, 10, 20, 30],
     "recovery": {"residual_tolerance": None}, "side_information": {"decay_floor": 0.05},
 }), sys.argv[1] + "/snr.csv")
+json.dump([(p.x, p.method, p.mean_db.hex()) for p in distance + snr], open(sys.argv[1] + "/points.json", "w"))
 """
 
 
-def test_csv_bytes_independent_of_blas_threads(tmp_path):
+@pytest.fixture(scope="module")
+def sweeps_at_one_and_two_blas_threads(tmp_path_factory):
+    """The CSV bytes of three sweeps, and the NMSE points of two of them as
+    (x, method, float.hex of mean_db), run at 1 and at 2 OpenBLAS threads."""
     src = str(Path(bdcs.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        out.mkdir()
+        out = tmp_path_factory.mktemp(f"blas{threads}")
         env = {
             **os.environ,
             "OPENBLAS_NUM_THREADS": threads,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         }
         subprocess.run([sys.executable, "-c", _SWEEPS, str(out)], env=env, check=True, timeout=300)
-        outputs.append([(out / name).read_bytes() for name in ("nmse.csv", "se.csv", "snr.csv")])
-    assert outputs[0] == outputs[1]
+        csvs = [(out / name).read_bytes() for name in ("nmse.csv", "se.csv", "snr.csv")]
+        outputs.append((csvs, [tuple(point) for point in json.loads((out / "points.json").read_text())]))
+    return outputs
+
+
+def test_csv_bytes_independent_of_blas_threads(sweeps_at_one_and_two_blas_threads):
+    (one, _), (two, _) = sweeps_at_one_and_two_blas_threads
+    assert one == two
+
+
+def test_pursuit_values_independent_of_blas_threads(sweeps_at_one_and_two_blas_threads):
+    # every pursuit method returns the same mean_db to the last bit; the ls
+    # values come from the pilot's SVD pseudo-inverse and may differ in their
+    # last bits, which the CSV's 6 decimals hide
+    (_, one), (_, two) = sweeps_at_one_and_two_blas_threads
+    pursuits = [(a, b) for a, b in zip(one, two) if a[1] != "ls"]
+    assert len(pursuits) == len(one) - 17  # 10 distances and 7 SNRs have an ls row each
+    assert all(a == b for a, b in pursuits)

@@ -3,9 +3,9 @@ share, checked through both public callers on random shapes and random,
 possibly unequal, block lengths, and against a least-squares-refit oracle of
 the kernel itself; that bsomp_batch, which runs the pursuits of a stack of
 observations in lockstep, returns each observation's lone result, also when
-the observations carry different residual tolerances, and, for a permuted
-stack, the permuted results; and of reconstruct, whose rule bsomp shares
-for its channel estimates."""
+the observations carry different residual tolerances, block budgets and
+partitions, and, for a permuted stack, the permuted results; and of
+reconstruct, whose rule bsomp shares for its channel estimates."""
 
 import numpy as np
 import pytest
@@ -319,6 +319,55 @@ def test_batch_of_mixed_tolerances_returns_each_lone_result(lengths, q, k, entri
         assert np.array_equal(result.reconstructed_channels, reconstruct(mm.dictionary, result))
         if configs[i].residual_tolerance >= 1.0:
             assert result.support_blocks == () and result.residual_history == (1.0,)
+
+
+@pytest.mark.filterwarnings("ignore:selected support may exceed")
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=block_lengths,
+    q=st.integers(min_value=2, max_value=12),
+    k=st.integers(min_value=1, max_value=3),
+    entries=st.lists(
+        st.tuples(st.sampled_from(["random", "zero", "sparse"]), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+                  st.sampled_from([0.0, 0.3, 0.7])),
+        min_size=1, max_size=5,
+    ),
+    max_blocks=st.integers(min_value=1, max_value=4),
+    decay_floor=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+    own=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_batch_of_mixed_budgets_and_partitions_returns_each_lone_result(
+    lengths, q, k, entries, max_blocks, decay_floor, own, seed
+):
+    # each observation under the block partition at K blocks and the
+    # single-atom partition at L*K, each with its own tolerance, and with
+    # ``own`` also under the measurement's own partition left implicit, all
+    # over one measurement in a random order: the pursuits share each
+    # observation's first correlation, and none may change what another sees
+    partition = BlockPartition(lengths)
+    atoms = BlockPartition.uniform(partition.size, 1)
+    rng = np.random.default_rng(seed)
+    # the measurement's own partition: single atoms too, in another object
+    mm = measurement_matrix(make_pilot_matrix(q, 16, seed), random_dictionary(rng, 16, partition.size, 1))
+    si = SideInformation(decay_floor=decay_floor) if decay_floor is not None else None
+    pairs = []
+    for kind, block_tolerance, atom_tolerance in entries:
+        obs = Observation(_target(rng, kind, mm, partition, k), 0.0, np.inf)
+        pairs += [(obs, RecoveryConfig(max_blocks, block_tolerance, partition)),
+                  (obs, RecoveryConfig(max_blocks * max(lengths), atom_tolerance, atoms))]
+        if own:
+            pairs.append((obs, RecoveryConfig(max_blocks, block_tolerance)))
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+
+    results = bsomp_batch(mm, [obs for obs, _ in pairs], [c for _, c in pairs], si)
+
+    for (obs, c), result in zip(pairs, results):
+        alone = bsomp(mm, Observation(obs.per_subcarrier, obs.noise_variance, obs.snr_db), c, si)
+        assert result.support_blocks == alone.support_blocks
+        assert result.residual_history == alone.residual_history
+        assert np.array_equal(result.coefficients, alone.coefficients)
+        assert np.array_equal(result.reconstructed_channels, alone.reconstructed_channels)
 
 
 def test_an_observation_under_two_tolerances_gets_two_results(monkeypatch):

@@ -230,21 +230,6 @@ class TestBsompBoundary:
         with pytest.raises(ValueError, match="one recovery config, or one per observation"):
             bsomp_batch(mm, observations, [RecoveryConfig(2, 0.1 * i) for i in range(count)])
 
-    @pytest.mark.parametrize("max_blocks, partition", [
-        (3, "shared"),
-        (2, BlockPartition.uniform(128, 2)),
-        (2, BlockPartition.uniform(128, 4)),  # equal lengths in another object: partitions compare by identity
-        (2, None),  # the measurement's own partition, left implicit
-    ])
-    def test_batch_refuses_configs_that_differ_beyond_the_tolerance(self, max_blocks, partition):
-        rng = np.random.default_rng(11)
-        mm = make_measurement(rng, q=128)
-        shared = BlockPartition.uniform(128, 4)
-        other = RecoveryConfig(max_blocks, 0.0, shared if partition == "shared" else partition)
-        observations = [Observation(rng.standard_normal((2, 128)) + 0j, 0.0, np.inf) for _ in range(2)]
-        with pytest.raises(ValueError, match="all with the same max_blocks and partition"):
-            bsomp_batch(mm, observations, [RecoveryConfig(2, 0.5, shared), other])
-
 
 class TestBsompMemo:
     def test_repeated_call_returns_the_stored_result(self, monkeypatch):

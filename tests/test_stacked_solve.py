@@ -3,7 +3,10 @@ stacked np.linalg.solve: each row's support columns move to the front in
 slot order and the trailing slots hold the identity, which leaves LAPACK's
 solution of the row's compact system unchanged bit for bit. Checked on
 random stacks against the compact solve of every row, and by counting the
-solves of decay-enabled batches on the polar partition."""
+solves of decay-enabled batches on the polar partition. Under the decay
+rule the final coefficients are those of a trial solve, checked against a
+fresh solve of the same support at the stop of a pursuit without the
+rule."""
 
 from types import SimpleNamespace
 
@@ -137,11 +140,15 @@ def test_one_solve_per_step_whatever_the_batch(monkeypatch, polar_with_copy, cou
     results = bsomp_batch(mm, observations, cfg, si)
     monkeypatch.undo()
 
-    # the loop runs at most one step past the longest history: one trial
-    # solve per step after the first, one final solve per step where
-    # pursuits stop; a solve per pursuit would make 16 final solves alone
-    steps = max(len(r.residual_history) for r in results)
-    assert len(solves) <= 2 * steps <= 2 * (cfg.max_blocks + 1)
+    # one trial solve per step after the first, and a final solve only at a
+    # step where a pursuit stops whose support no trial solved: one of a
+    # single block (a trial solves k + 1 blocks at step k >= 1, and a pursuit
+    # the rule halts keeps the support of the trial before); with a tolerance
+    # of 0, a pursuit that ends short of the budget was halted, a step after
+    # its last kept block
+    steps = [len(r.support_blocks) + (len(r.support_blocks) < cfg.max_blocks) for r in results]
+    uncovered = {n for n, r in zip(steps, results) if len(r.support_blocks) < 2}
+    assert len(solves) == max(steps) - 1 + len(uncovered)
     # lstsq solves only a support that holds both copies of the atom
     assert lstsqs and all(rows < cols for rows, cols in lstsqs)
     assert copied in results[0].support_blocks
@@ -151,3 +158,26 @@ def test_one_solve_per_step_whatever_the_batch(monkeypatch, polar_with_copy, cou
         assert alone.support_blocks == result.support_blocks
         assert np.array_equal(alone.coefficients, result.coefficients)
         assert alone.residual_history == result.residual_history
+
+
+@pytest.mark.parametrize("count", [1, 4, 16])
+def test_reused_trial_solutions_equal_fresh_solves(polar_with_copy, count):
+    # under the decay rule a pursuit's final coefficients come from a trial
+    # solve: its last for a budget stop, the one before for a halted pursuit;
+    # without the rule and at a budget of its support size, the pursuit
+    # selects the same blocks and solves that support afresh at its stop
+    mm, copied = polar_with_copy
+    observations = _observations(mm, copied, count)
+    stops = set()
+    for budget in (2, 4):
+        results = bsomp_batch(mm, observations, RecoveryConfig(budget, 0.0), SideInformation(decay_floor=0.05))
+        for obs, result in zip(observations, results):
+            size = len(result.support_blocks)
+            stops.add("budget" if size == budget else "halted" if size > 1 else "one block")
+            alone = Observation(obs.per_subcarrier, obs.noise_variance, obs.snr_db)
+            fresh = bsomp(mm, alone, RecoveryConfig(size))
+            assert fresh.support_blocks == result.support_blocks
+            assert fresh.residual_history == result.residual_history
+            assert np.array_equal(fresh.support_columns, result.support_columns)
+            assert np.array_equal(fresh.support_coefficients, result.support_coefficients)
+    assert count < 16 or stops == {"budget", "halted", "one block"}
