@@ -341,8 +341,9 @@ def _greedy_blocks(
     solution as it is, so the result is that of a solve at the stop bit for
     bit. A pursuit that stops leaves the stack, which shrinks in place:
     each row past the first stopped one moves up, by its k L filled slots
-    only in Q, Q^H, T, Q^H target and the stored solutions. The decay rule sums a block's coefficient energy over its L
-    slots, zeros included, by ``_sq_norms``, not by a per-pursuit ``np.sum``
+    only in Q, Q^H, T, Q^H target and the stored solutions. The decay rule
+    sums a block's coefficient energy over its L slots, zeros included, by
+    ``_sq_norms``, not by a per-pursuit ``np.sum``
     over its columns; the order can change a decision only for an energy
     ratio within rounding of ``decay_floor``. Every float64 operation on the
     basis, the residual and the coefficients acts on each row alone with
@@ -598,7 +599,7 @@ def bsomp_batch(
             todo.setdefault((c.max_blocks, c.partition if c.partition is not None else own), []).append((obs, c))
 
     if todo:
-        # each target (Q, K) a transposed view, as a lone observation's, and its first correlation once
+        # each distinct observation's target (Q, K) and its first correlation, once for every run
         distinct = list(dict.fromkeys(obs for pairs in todo.values() for obs, _ in pairs))
         samples = np.stack([obs.per_subcarrier for obs in distinct])
         targets = np.ascontiguousarray(samples.transpose(0, 2, 1), dtype=np.result_type(phi, samples))
