@@ -500,7 +500,10 @@ def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> li
 def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """Spectral efficiency of the SVD precoder and its hybrid approximations
     (angular and polar dictionaries) versus SNR, single link at the first
-    configured distance. mean_db carries bits/s/Hz here. An SNR of +inf,
+    configured distance. mean_db carries bits/s/Hz here. The precoders do
+    not depend on the SNR, so each trial draws one link, precodes it once
+    and scores it at every SNR point: the points of a trial are paired, and
+    a row's bytes do not depend on the other SNRs listed. An SNR of +inf,
     which the NMSE sweeps run noiseless, is refused before the first trial."""
     for snr_db in cfg.snr_db:
         _build({}, check_snr, snr_db)
@@ -508,8 +511,9 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
     distance = cfg.distance_grid[0]
     angular, polar = _angular_dictionary(cfg), _polar_dictionary(cfg)
 
-    def trial_values(s_idx, snr_db, trial):
-        rng = np.random.default_rng(_child_seed(cfg.seed, 4, s_idx, trial))
+    def trial_values(trial):
+        """Per SNR point, the SE of each precoder on the trial's link."""
+        rng = np.random.default_rng(_child_seed(cfg.seed, 4, 0, trial))
         paths = []
         rx_angles = []
         for _ in range(cfg.channel.paths_per_user):
@@ -519,11 +523,12 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
             rx_angles.append(float(rng.uniform(-1, 1)))
         channel = MatrixChannel(synthesize_matrix_channel(cfg.array, cfg.rx_array, paths, rx_angles))
         f_opt = optimal_precoder(channel, pre.num_streams)
-        values = {"optimal": spectral_efficiency(channel, f_opt, snr_db).spectral_efficiency}
+        precoders = {"optimal": f_opt}
         for name, dictionary in (("hybrid_angular", angular), ("hybrid_polar", polar)):
-            pair = block_sparse_precoding(f_opt, dictionary, pre.num_rf_chains)
-            values[name] = spectral_efficiency(channel, pair, snr_db).spectral_efficiency
-        return values
+            precoders[name] = block_sparse_precoding(f_opt, dictionary, pre.num_rf_chains)
+        return [{name: spectral_efficiency(channel, p, snr_db).spectral_efficiency for name, p in precoders.items()}
+                for snr_db in cfg.snr_db]
 
+    per_trial = [trial_values(trial) for trial in range(cfg.trials)]
     labels = ("optimal", "hybrid_angular", "hybrid_polar")
-    return _sweep(cfg, cfg.snr_db, labels, lambda cells: [trial_values(*cell) for cell in cells], 1, out_path)
+    return _sweep(cfg, cfg.snr_db, labels, lambda cells: [per_trial[t][s] for s, _, t in cells], 1, out_path)

@@ -152,7 +152,7 @@ class ChannelRealization:
         h = np.asarray(self.per_subcarrier_channels)
         if h.ndim != 2:
             raise ValueError("channel matrix must have shape (K, num_antennas)")
-        if not np.all(np.isfinite(h.view(float))):
+        if not np.isfinite(h).all():
             raise ValueError("channel entries must be finite")
 
 

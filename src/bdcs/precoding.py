@@ -28,7 +28,7 @@ class MatrixChannel:
         h = np.asarray(self.matrix)
         if h.ndim != 2 or h.shape[0] < 1:
             raise ValueError("channel must be a 2-D matrix with at least one row")
-        if not np.all(np.isfinite(h.view(float))):
+        if not np.isfinite(h).all():
             raise ValueError("channel entries must be finite")
 
     @property

@@ -21,6 +21,16 @@ def random_dictionary(rng, num_antennas, num_atoms, block_length):
     )
 
 
+FINITENESS_CASES = [
+    (np.array([[np.nan, 1.0]], np.float32), False),
+    (np.array([[np.inf, 1.0]], np.float16), False),
+    (np.ones((2, 3), np.float32), True),
+    (np.array([[0x7FF8000000000000]], np.int64), True),  # the bytes of a float64 nan
+]
+"""(matrix, finite) rows for channel types that refuse non-finite entries:
+the check reads the values in their own dtype, not their bytes as float64."""
+
+
 def count_kernel_runs(monkeypatch) -> list:
     """Wrap the greedy block kernel that bsomp and bsomp_batch call so that
     every run appends its number of targets to the returned list."""

@@ -529,8 +529,38 @@ class TestSeSnr:
         for x in xs:
             assert table[(x, "optimal")] >= table[(x, "hybrid_angular")]
             assert table[(x, "optimal")] >= table[(x, "hybrid_polar")]
+        # each trial scores one link at every SNR, and its optimal SE rises strictly
         opt_curve = [table[(x, "optimal")] for x in xs]
-        assert all(b >= a for a, b in zip(opt_curve, opt_curve[1:]))
+        assert all(b > a for a, b in zip(opt_curve, opt_curve[1:]))
+
+    def test_a_row_does_not_depend_on_the_other_snrs_listed(self):
+        precoding = {"num_rx_antennas": 3, "num_streams": 2, "num_rf_chains": 4}
+        rows = [
+            {p.method: (p.mean_db.hex(), p.stderr_db.hex())
+             for p in run_se_vs_snr(tiny_config(snr_db=snr_db, distances=[6.0], precoding=precoding))
+             if p.x == 10.0}
+            for snr_db in ([0.0, 10.0], [10.0])
+        ]
+        assert set(rows[0]) == {"optimal", "hybrid_angular", "hybrid_polar"}
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("snr_db", [[10.0], [-5.0, 5.0, 15.0]])
+    def test_one_link_and_one_precoding_per_trial(self, monkeypatch, snr_db):
+        import bdcs.bench
+
+        calls = {}
+        for name in ("synthesize_matrix_channel", "optimal_precoder", "block_sparse_precoding", "spectral_efficiency"):
+            def counted(*args, _call=getattr(bdcs.bench, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(bdcs.bench, name, counted)
+        cfg = tiny_config(snr_db=snr_db, distances=[6.0], trials=3)
+        run_se_vs_snr(cfg)
+        assert calls == {
+            "synthesize_matrix_channel": 3, "optimal_precoder": 3, "block_sparse_precoding": 2 * 3,
+            "spectral_efficiency": 3 * 3 * len(snr_db),
+        }
 
     def test_full_chain_budget_tracks_optimal(self):
         cfg = tiny_config(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bdcs import (
     SPEED_OF_LIGHT,
     ArrayConfig,
+    ChannelRealization,
     ClusterSpec,
     PathParam,
     SubcarrierGrid,
@@ -18,6 +19,7 @@ from bdcs import (
     synthesize_channel,
     synthesize_matrix_channel,
 )
+from helpers import FINITENESS_CASES
 
 
 class TestSteeringFar:
@@ -212,7 +214,7 @@ class TestMatrixChannel:
         tx = ArrayConfig(8, 30e9)
         rx = ArrayConfig(2, 30e9)
         h = synthesize_matrix_channel(tx, rx, [PathParam(0.0, np.inf, 1.0)], [0.0])
-        assert np.all(np.isfinite(h.view(float)))
+        assert np.isfinite(h).all()
 
     def test_batched_steering_equals_per_path_synthesis(self):
         # reference: scalar steering calls per path, accumulated in path order;
@@ -241,6 +243,16 @@ class TestMatrixChannel:
         rx = ArrayConfig(2, 30e9)
         with pytest.raises(ValueError):
             synthesize_matrix_channel(tx, rx, [PathParam(0.0, 5.0, 1.0)], [0.0, 0.1])
+
+
+class TestChannelRealization:
+    @pytest.mark.parametrize("matrix, finite", FINITENESS_CASES)
+    def test_finiteness_is_read_in_the_entries_dtype(self, matrix, finite):
+        if finite:
+            assert ChannelRealization(matrix, ()).per_subcarrier_channels is matrix
+        else:
+            with pytest.raises(ValueError, match="^channel entries must be finite"):
+                ChannelRealization(matrix, ())
 
 
 class TestValidation:

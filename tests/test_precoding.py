@@ -16,7 +16,7 @@ from bdcs import (
     spectral_efficiency,
     synthesize_matrix_channel,
 )
-from helpers import random_dictionary
+from helpers import FINITENESS_CASES, random_dictionary
 
 
 def random_nf_channel(rng, n_t=64, n_r=4, paths=4, distance=20.0):
@@ -32,6 +32,16 @@ def random_nf_channel(rng, n_t=64, n_r=4, paths=4, distance=20.0):
     ]
     rx_angles = [float(rng.uniform(-1, 1)) for _ in range(paths)]
     return MatrixChannel(synthesize_matrix_channel(tx, rx, params, rx_angles))
+
+
+class TestMatrixChannel:
+    @pytest.mark.parametrize("matrix, finite", FINITENESS_CASES)
+    def test_finiteness_is_read_in_the_entries_dtype(self, matrix, finite):
+        if finite:
+            assert MatrixChannel(matrix).matrix is matrix
+        else:
+            with pytest.raises(ValueError, match="^channel entries must be finite"):
+                MatrixChannel(matrix)
 
 
 class TestOptimalPrecoder:
