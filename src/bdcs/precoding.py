@@ -1,9 +1,9 @@
 """Hybrid precoding via block-sparse approximation of the SVD precoder.
 
 The unconstrained optimum is the top right-singular subspace of the channel;
-the hybrid stage greedily picks dictionary blocks whose (phase-projected)
-steering vectors best explain it, then solves the baseband stage by least
-squares and renormalizes to the stream power budget.
+the hybrid stage greedily picks dictionary blocks whose steering vectors best
+explain it and takes those atoms as the analog stage, then solves the
+baseband stage by least squares and renormalizes to the stream power budget.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import ConfigurationError
-from .recovery import RecoveryConfig, _greedy_blocks
+from .recovery import RecoveryConfig, _greedy_blocks, _is_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +87,14 @@ class SEReport:
 
 def check_counts(num_streams: int, num_tx: int, num_rx: Optional[int] = None,
                  num_rf_chains: Optional[int] = None, block_length: Optional[int] = None) -> None:
-    """The count rules of precoding, for the counts given: 1 <= N_s <= N_t and
-    N_s <= N_r (optimal_precoder), N_s <= N_RF <= N_t (PrecoderPair and
-    block_sparse_precoding), and a uniform block length (None: blocks vary)
-    that divides N_RF."""
-    if not 1 <= num_streams <= min(num_tx, num_tx if num_rx is None else num_rx):
-        raise ValueError("num_streams must satisfy 1 <= N_s <= min(N_r, N_t)")
-    if num_rf_chains is not None and not num_streams <= num_rf_chains <= num_tx:
-        raise ValueError("num_rf_chains must satisfy N_s <= N_RF <= N_t")
+    """The count rules of precoding, for the counts given: integer (not bool)
+    N_s and N_RF, 1 <= N_s <= N_t and N_s <= N_r (optimal_precoder),
+    N_s <= N_RF <= N_t (PrecoderPair and block_sparse_precoding), and a
+    uniform block length (None: blocks vary) that divides N_RF."""
+    if not (_is_integer(num_streams) and 1 <= num_streams <= min(num_tx, num_tx if num_rx is None else num_rx)):
+        raise ValueError("num_streams must satisfy 1 <= N_s <= min(N_r, N_t) and be an integer")
+    if num_rf_chains is not None and not (_is_integer(num_rf_chains) and num_streams <= num_rf_chains <= num_tx):
+        raise ValueError("num_rf_chains must satisfy N_s <= N_RF <= N_t and be an integer")
     if block_length is not None and num_rf_chains % block_length != 0:
         raise ConfigurationError("num_rf_chains must be a multiple of the block length")
 
@@ -122,15 +122,17 @@ def block_sparse_precoding(
     """Greedy block approximation of the unconstrained precoder.
 
     Iterates: score every block by ||A_b^H R||_F^2 against the residual
-    R = F_OPT - F_RF F_BB, append the winning block's atoms phase-projected
-    to modulus 1/sqrt(N_t), and remove from R its projection onto their new
-    orthonormal directions. Blocks wider than the RF chains left are
-    skipped. Stops when no unselected block fits the chains left, the
-    relative residual reaches the tolerance, or the block budget runs out;
-    F_RF stacks the blocks as the loop projected them, and F_BB is the
-    minimum-norm least-squares fit over them, rescaled to the stream power
-    budget. Blocks are scored through the dictionary's ``single_precision``.
-    A ``cfg.partition`` that does not cover the atoms is refused with a
+    R = F_OPT - F_RF F_BB, append the winning block's atoms to F_RF, and
+    remove from R its projection onto their new orthonormal directions.
+    Blocks wider than the RF chains left are skipped. Stops when no
+    unselected block fits the chains left, the relative residual reaches the
+    tolerance, or the block budget runs out. F_RF is the selected atoms, in
+    selection order, so a dictionary whose atoms do not have modulus
+    1/sqrt(N_t) is refused, by PrecoderPair's rule and with a
+    ``ValueError``, once it selects such an atom. F_BB is the minimum-norm
+    least-squares fit over F_RF, rescaled to the stream power budget. Blocks
+    are scored through the dictionary's ``single_precision``. A
+    ``cfg.partition`` that does not cover the atoms is refused with a
     ``ConfigurationError``.
     """
     f_opt = np.asarray(f_opt)
@@ -143,18 +145,11 @@ def block_sparse_precoding(
     check_counts(n_s, n_t, num_rf_chains=num_rf_chains, block_length=partition.uniform_length)
     tol = cfg.residual_tolerance if cfg is not None else 1e-10
     max_blocks = cfg.max_blocks if cfg is not None else partition.num_blocks
-    target_mod = 1.0 / np.sqrt(n_t)
-    projected = []  # without a decay rule, the kernel maps exactly the blocks it selects
-
-    def phase_projection(cols):
-        projected.append(target_mod * np.exp(1j * np.angle(cols)))
-        return projected[-1]
-
-    _, _, f_bb, _ = _greedy_blocks(
-        dictionary.atoms, f_opt[None], partition, max_blocks, tol, column_map=phase_projection,
+    _, cols, f_bb, _ = _greedy_blocks(
+        dictionary.atoms, f_opt[None], partition, max_blocks, tol,
         max_columns=num_rf_chains, screen=dictionary.single_precision,
     )[0]
-    f_rf = np.hstack(projected) if projected else np.empty((n_t, 0))
+    f_rf = dictionary.atoms[:, cols]
 
     combined_norm = float(np.linalg.norm(f_rf @ f_bb))
     if combined_norm == 0.0:
@@ -169,11 +164,12 @@ def spectral_efficiency(
     snr_db: float,
 ) -> SEReport:
     """log2 det(I + rho/N_s * H F F^H H^H) with equal power per stream;
-    ``snr_db`` must pass check_snr."""
+    ``snr_db`` must pass check_snr, and a precoder matrix must be 2-D with a
+    row per transmit antenna and at least one column (stream)."""
     check_snr(snr_db)
     f = precoder.combined if isinstance(precoder, PrecoderPair) else np.asarray(precoder)
-    if f.shape[0] != channel.num_tx:
-        raise ValueError("precoder rows must match the transmit antenna count")
+    if f.ndim != 2 or f.shape[0] != channel.num_tx or f.shape[1] < 1:
+        raise ValueError(f"precoder must be N_t x N_s with N_t = {channel.num_tx} and N_s >= 1, got shape {f.shape}")
     rho = 10.0 ** (snr_db / 10.0)
     n_s = f.shape[1]
     effective = channel.matrix @ f  # (N_r, N_s)

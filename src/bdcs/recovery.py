@@ -35,7 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import InitVar, dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,12 @@ from .sensing import MeasurementMatrix, Observation, PilotMatrix
 
 NMSE_FLOOR_DB = -300.0
 """Lower clamp returned by nmse() for numerically exact reconstructions."""
+
+
+def _is_integer(value) -> bool:
+    """The library's rule for a count or an index: an int or a numpy integer,
+    not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class SideInformation:
         if self.decay_floor is not None and not (0.0 < self.decay_floor <= 1.0):
             raise ValueError("decay_floor must lie in (0, 1] or be None")
         support = tuple(self.previous_support)
-        if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and b >= 0 for b in support):
+        if not all(_is_integer(b) and b >= 0 for b in support):
             raise ValueError("previous_support must hold non-negative integer block indices")
         object.__setattr__(self, "previous_support", support)
 
@@ -81,18 +87,20 @@ class SideInformation:
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Greedy loop controls: block budget, relative-residual stop, and an
-    optional partition override (defaults to the dictionary's own)."""
+    optional partition override (a BlockPartition; None: the dictionary's
+    own)."""
 
     max_blocks: int
     residual_tolerance: float = 0.0
     partition: Optional[BlockPartition] = None
 
     def __post_init__(self):
-        blocks = self.max_blocks
-        if isinstance(blocks, bool) or not isinstance(blocks, (int, np.integer)) or blocks < 1:
+        if not (_is_integer(self.max_blocks) and self.max_blocks >= 1):
             raise ValueError("max_blocks must be an integer of at least 1")
         if not self.residual_tolerance >= 0:  # also rejects nan
             raise ValueError("residual_tolerance must be non-negative")
+        if not isinstance(self.partition, (BlockPartition, type(None))):
+            raise ValueError(f"partition must be a BlockPartition or None, got {type(self.partition).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +273,7 @@ _SLOTTED = ("q", "qh", "t", "qy", "solution")
 def _greedy_blocks(
     columns: np.ndarray, targets: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float | np.ndarray, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
-    column_map: Optional[Callable] = None, max_columns: Optional[int] = None, *, screen: np.ndarray,
-    corr0: Optional[np.ndarray] = None,
+    max_columns: Optional[int] = None, *, screen: np.ndarray, corr0: Optional[np.ndarray] = None,
 ) -> list:
     """Greedy block pursuit of each target of ``targets`` (B, M, S) over the
     blocks of ``columns`` (M, G), the B pursuits run in lockstep. The
@@ -276,10 +283,8 @@ def _greedy_blocks(
     Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
     the residual R, and the best unselected block (exact scores within a
     relative 1e-12 of the best tie to the lowest index) has its columns
-    appended to the basis. When ``column_map`` is given, it is called once
-    per step on the (M, C) selected columns of every running pursuit, in
-    row order, and must map each column alone. With ``max_columns`` set, a
-    block wider than the columns left is not a candidate.
+    appended to the basis. With ``max_columns`` set, a block wider than the
+    columns left is not a candidate.
 
     Blocks are screened in single precision: C = R^H columns / (||target||
     c_max), c_max the largest column norm, is kept in complex64 against
@@ -324,26 +329,25 @@ def _greedy_blocks(
     block of every pursuit, each close call's candidate columns meet its own
     residual alone (so the rescoring grows with the candidates, not with
     candidates times close calls), one gather fetches the selected columns
-    of every pursuit (and one ``column_map`` call maps them all),
-    Gram-Schmidt runs as batched products over the slots so far once per
-    column position of the widest selected block, the residual and history
-    of all are updated at once, the decay rule's trial solves of all are one
-    stacked solve, and so are the final solves of the pursuits that stop at
-    a step on a support no trial solved (``_support_coefficients``; only a
-    pursuit with a dependent column solves alone, by ``lstsq``). A trial
-    at step k >= 1 solves the k + 1 blocks so far, which are the final
-    support of a pursuit that stops for its budget or tolerance at the next
-    step; a pursuit the trial halts keeps the support that the trial of
-    step k - 1 solved; so only a final support of one block, or every one
-    with the rule off, is solved at the stop. The trial and the stop solve
-    the same system over the same slots, or, for a halted pursuit, over
-    slots that differ by trailing identity padding, which leaves the
-    solution as it is, so the result is that of a solve at the stop bit for
-    bit. A pursuit that stops leaves the stack, which shrinks in place:
-    each row past the first stopped one moves up, by its k L filled slots
-    only in Q, Q^H, T, Q^H target and the stored solutions. The decay rule
-    sums a block's coefficient energy over its L slots, zeros included, by
-    ``_sq_norms``, not by a per-pursuit ``np.sum``
+    of every pursuit, Gram-Schmidt runs as batched products over the slots
+    so far once per column position of the widest selected block, the
+    residual and history of all are updated at once, the decay rule's trial
+    solves of all are one stacked solve, and so are the final solves of the
+    pursuits that stop at a step on a support no trial solved
+    (``_support_coefficients``; only a pursuit with a dependent column
+    solves alone, by ``lstsq``). A trial at step k >= 1 solves the k + 1
+    blocks so far, which are the final support of a pursuit that stops for
+    its budget or tolerance at the next step; a pursuit the trial halts
+    keeps the support that the trial of step k - 1 solved; so only a final
+    support of one block, or every one with the rule off, is solved at the
+    stop. The trial and the stop solve the same system over the same slots,
+    or, for a halted pursuit, over slots that differ by trailing identity
+    padding, which leaves the solution as it is, so the result is that of a
+    solve at the stop bit for bit. A pursuit that stops leaves the stack,
+    which shrinks in place: each row past the first stopped one moves up, by
+    its k L filled slots only in Q, Q^H, T, Q^H target and the stored
+    solutions. The decay rule sums a block's coefficient energy over its L
+    slots, zeros included, by ``_sq_norms``, not by a per-pursuit ``np.sum``
     over its columns; the order can change a decision only for an energy
     ratio within rounding of ``decay_floor``. Every float64 operation on the
     basis, the residual and the coefficients acts on each row alone with
@@ -485,14 +489,12 @@ def _greedy_blocks(
             block[close] = candidate[pick]
         del flat, squares, score, slack, lower, near  # not held through the next update
 
-        # the selected blocks' columns by position, (B, L, M), zero past a block's end,
-        # all mapped at once through column_map
+        # the selected blocks' columns by position, (B, L, M), zero past a block's end
         current = slice(k * widest, (k + 1) * widest)
         size = lengths[block]
         real = position < size[:, None]
-        picked = columns.T[(starts[block, None] + position)[real]]
         new_cols = np.zeros((len(live), widest, m), dtype)
-        new_cols[real] = picked if column_map is None else column_map(picked.T).T
+        new_cols[real] = columns.T[(starts[block, None] + position)[real]]
         floor = _DEPENDENT * np.sqrt(_sq_norms(new_cols.reshape(-1, m))).reshape(len(live), widest)
         q, qh = p.q[:, :, :current.stop], p.qh[:, :current.stop]  # views: the directions so far
         for j, slot in enumerate(range(current.start, current.start + int(size.max()))):

@@ -1,19 +1,24 @@
 """Shared test utilities: synthetic dictionaries, observation builders, and
 independent reference implementations used as oracles."""
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from bdcs import BlockPartition, Dictionary, Observation
 
 
-def random_dictionary(rng, num_antennas, num_atoms, block_length):
-    """Unit-norm complex Gaussian dictionary with a uniform partition."""
-    m = rng.standard_normal((num_antennas, num_atoms)) + 1j * rng.standard_normal(
-        (num_antennas, num_atoms)
-    )
-    m = m / np.linalg.norm(m, axis=0)
+def random_dictionary(rng, num_antennas, num_atoms, block_length, constant_modulus=False):
+    """Unit-norm dictionary with a uniform partition: complex Gaussian atoms,
+    or with ``constant_modulus`` random phases over sqrt(num_antennas), as
+    the hybrid precoder's analog stage needs."""
+    if constant_modulus:
+        m = np.exp(2j * np.pi * rng.random((num_antennas, num_atoms))) / np.sqrt(num_antennas)
+    else:
+        m = rng.standard_normal((num_antennas, num_atoms)) + 1j * rng.standard_normal(
+            (num_antennas, num_atoms)
+        )
+        m = m / np.linalg.norm(m, axis=0)
     angles = np.linspace(-1.0, 1.0, num_atoms)
     return Dictionary(
         m, angles, np.full(num_atoms, np.inf), BlockPartition.uniform(num_atoms, block_length),
@@ -127,17 +132,16 @@ def omp_reference(matrix, y, max_atoms, tol=0.0):
 def greedy_blocks_reference(
     columns: np.ndarray, target: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
-    column_map: Optional[Callable] = None, max_columns: Optional[int] = None,
+    max_columns: Optional[int] = None,
 ):
     """Greedy block pursuit of ``target`` (M, S) over the blocks of ``columns`` (M, G).
 
     Per iteration block b scores ||R^H columns_b||_F^2 (times weights[b]) on
     the residual R; the correlation R^H columns, (S, G), conjugates only the
     residual and never copies ``columns``. The best unselected block (ties
-    to the lowest index) has its columns, through ``column_map`` when given,
-    appended to the basis, and ``target`` is refit by least squares over the
-    whole basis. With ``max_columns`` set, a block wider than the columns
-    left scores -inf.
+    to the lowest index) has its columns appended to the basis, and
+    ``target`` is refit by least squares over the whole basis. With
+    ``max_columns`` set, a block wider than the columns left scores -inf.
     Stops at min(max_blocks, block count) blocks, a relative residual at or
     below ``tolerance``, a zero target, or when no unselected block fits
     ``max_columns``; the candidate is discarded and the loop ends when its
@@ -170,8 +174,6 @@ def greedy_blocks_reference(
 
         block_slice = partition.block_slice(block)
         new_cols = columns[:, block_slice]
-        if column_map is not None:
-            new_cols = column_map(new_cols)
         trial_basis = np.concatenate([basis, new_cols], axis=1)
         trial_coef, *_ = np.linalg.lstsq(trial_basis, target, rcond=None)
 

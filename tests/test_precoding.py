@@ -16,7 +16,7 @@ from bdcs import (
     spectral_efficiency,
     synthesize_matrix_channel,
 )
-from helpers import FINITENESS_CASES, random_dictionary
+from helpers import FINITENESS_CASES, greedy_blocks_reference, random_dictionary
 
 
 def random_nf_channel(rng, n_t=64, n_r=4, paths=4, distance=20.0):
@@ -32,6 +32,30 @@ def random_nf_channel(rng, n_t=64, n_r=4, paths=4, distance=20.0):
     ]
     rx_angles = [float(rng.uniform(-1, 1)) for _ in range(paths)]
     return MatrixChannel(synthesize_matrix_channel(tx, rx, params, rx_angles))
+
+
+_CHANNEL = MatrixChannel(np.eye(4, 16, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: spectral_efficiency(_CHANNEL, np.ones(16), 10.0), "precoder"),
+        (lambda: spectral_efficiency(_CHANNEL, np.ones((16, 0)), 10.0), "precoder"),
+        (lambda: optimal_precoder(_CHANNEL, 2.0), "num_streams"),
+        (lambda: optimal_precoder(_CHANNEL, True), "num_streams"),
+        (lambda: block_sparse_precoding(np.eye(16, 1), build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1), True),
+         "num_rf_chains"),
+    ],
+    ids=["one-dimensional-precoder", "precoder-without-streams", "fractional-streams", "boolean-streams",
+         "boolean-chains"],
+)
+def test_shape_and_count_boundaries_name_the_value(call, name):
+    # these failed with IndexError, ZeroDivisionError and TypeError, or ran
+    # one stream or chain; the message starts with the value's name, which
+    # the config layer maps to its key
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
 
 
 class TestMatrixChannel:
@@ -175,7 +199,7 @@ class TestBlockSparsePrecoding:
         # is chosen a wide block no longer fits, but the other narrow one does
         partition = BlockPartition([1, 3, 1, 3])
         rng = np.random.default_rng(seed)
-        d = random_dictionary(rng, 8, partition.size, 1)
+        d = random_dictionary(rng, 8, partition.size, 1, constant_modulus=True)
         f_opt, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
         pair = block_sparse_precoding(f_opt, d, 3, RecoveryConfig(partition.num_blocks, 1e-10, partition))
         assert isinstance(pair, PrecoderPair)
@@ -192,14 +216,21 @@ class TestBlockSparsePrecoding:
         with pytest.raises(ConfigurationError, match="partition must cover the columns"):
             block_sparse_precoding(f_opt, d, 4, cfg)
 
-    def test_analog_stage_is_the_projection_of_dictionary_atoms(self):
+    def test_analog_stage_is_the_selected_atoms(self):
         rng = np.random.default_rng(17)
         d = build_angular_dictionary(ArrayConfig(32, 30e9), 1, 2)
         f_opt = optimal_precoder(random_nf_channel(rng, n_t=32, paths=5), 2)
         pair = block_sparse_precoding(f_opt, d, 4)
-        projected = np.exp(1j * np.angle(d.atoms)) / np.sqrt(32)
-        for column in pair.f_rf.T:
-            assert (projected == column[:, None]).all(axis=0).any()
+        _, cols, _, _, _ = greedy_blocks_reference(d.atoms, f_opt, d.partition, d.partition.num_blocks, 1e-10,
+                                                   max_columns=4)
+        assert np.array_equal(pair.f_rf, d.atoms[:, cols])  # the atoms themselves, in selection order
+
+    def test_atoms_without_constant_modulus_refused(self):
+        rng = np.random.default_rng(19)
+        d = random_dictionary(rng, 16, 32, 1)  # complex Gaussian atoms
+        f_opt, _ = np.linalg.qr(rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2)))
+        with pytest.raises(ValueError, match=r"modulus 1/sqrt\(N_t\)"):
+            block_sparse_precoding(f_opt, d, 4)
 
     def test_zero_target_is_degenerate(self):
         d = build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1)

@@ -81,7 +81,7 @@ def test_hybrid_precoder_respects_the_chain_budget(lengths, n_t, n_s, extra_chai
     num_rf_chains = n_s + extra_chains
     assume(num_rf_chains <= n_t)
     rng = np.random.default_rng(seed)
-    dictionary = random_dictionary(rng, n_t, partition.size, 1)
+    dictionary = random_dictionary(rng, n_t, partition.size, 1, constant_modulus=True)
     f_opt, _ = np.linalg.qr(rng.standard_normal((n_t, n_s)) + 1j * rng.standard_normal((n_t, n_s)))
     cfg = RecoveryConfig(partition.num_blocks, 1e-10, partition)
 
@@ -92,6 +92,11 @@ def test_hybrid_precoder_respects_the_chain_budget(lengths, n_t, n_s, extra_chai
     assert pair.num_streams == n_s
     assert np.allclose(np.abs(pair.f_rf), 1.0 / np.sqrt(n_t), atol=1e-12)
     assert abs(np.linalg.norm(pair.combined) ** 2 - n_s) < 1e-8
+    # F_BB is the least-squares fit of F_OPT over F_RF, rescaled: each row
+    # belongs to the F_RF column in its position
+    fit = np.linalg.lstsq(pair.f_rf, f_opt, rcond=None)[0]
+    fit *= np.sqrt(n_s) / np.linalg.norm(pair.f_rf @ fit)
+    assert np.linalg.norm(pair.f_bb - fit) <= 1e-10 * np.linalg.norm(fit)
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,16 +151,15 @@ def test_bsomp_is_scale_equivariant(lengths, k, max_blocks, exponent, seed):
     tolerance=st.sampled_from([0.0, 1e-6, 0.3]),
     weighted=st.booleans(),
     decay_floor=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
-    phase_map=st.booleans(),
     max_columns=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
     duplicate=st.booleans(),
     stack=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_kernel_matches_lstsq_refit_reference(
-    lengths, m, s, max_blocks, tolerance, weighted, decay_floor, phase_map, max_columns, duplicate, stack, seed
+    lengths, m, s, max_blocks, tolerance, weighted, decay_floor, max_columns, duplicate, stack, seed
 ):
-    # a stack of targets runs in lockstep, column_map and max_columns included
+    # a stack of targets runs in lockstep, max_columns included
     partition = BlockPartition(lengths)
     widest = sum(sorted(lengths)[-max_blocks:])
     # once the residual is zero to rounding (M rows spanned), block scores are
@@ -177,7 +181,6 @@ def test_kernel_matches_lstsq_refit_reference(
     kwargs = dict(
         weights=rng.uniform(0.5, 2.0, partition.num_blocks) if weighted else None,
         decay_floor=decay_floor,
-        column_map=(lambda c: np.exp(1j * np.angle(c)) / np.sqrt(m)) if phase_map else None,
         max_columns=max_columns,
     )
 
@@ -186,12 +189,11 @@ def test_kernel_matches_lstsq_refit_reference(
     )
 
     for target, (sel, cols, coef, history) in zip(targets, results):
-        basis = columns[:, cols] if kwargs["column_map"] is None else kwargs["column_map"](columns[:, cols])
         ref_sel, ref_cols, ref_basis, ref_coef, ref_history = greedy_blocks_reference(
             columns, target, partition, max_blocks, tolerance, **kwargs
         )
         assert sel == ref_sel and cols == ref_cols
-        assert np.array_equal(basis, ref_basis)
+        assert np.array_equal(columns[:, cols], ref_basis)
         assert coef.shape == ref_coef.shape
         assert np.linalg.norm(coef - ref_coef) <= 1e-8 * max(np.linalg.norm(ref_coef), 1e-300)
         np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-8)

@@ -484,12 +484,14 @@ class TestRecoveryConfigValidation:
 
     @pytest.mark.parametrize(
         "args",
-        [(4, np.nan), (2.5, 0.0), (True, 0.0)],
-        ids=["nan-tolerance", "fractional-budget", "boolean-budget"],
+        [(4, np.nan), (2.5, 0.0), (True, 0.0), (2, 0.0, [4, 4]), (2, 0.0, "44")],
+        ids=["nan-tolerance", "fractional-budget", "boolean-budget", "list-partition", "string-partition"],
     )
     def test_refuses_nan_tolerance_and_non_integer_budget(self, args):
         # a nan tolerance stopped the loop before its first block; 2.5 blocks
-        # failed inside the kernel and True ran one block
+        # failed inside the kernel and True ran one block; a partition that is
+        # not a BlockPartition failed inside bsomp with TypeError or
+        # AttributeError
         with pytest.raises(ValueError):
             RecoveryConfig(*args)
 
