@@ -26,6 +26,12 @@ MIN_PATH_DISTANCE = 1e-3
 """Floor applied when clipping generated sub-path distances, meters."""
 
 
+def _is_integer(value) -> bool:
+    """The library's rule for a count or an index: an int or a numpy integer,
+    not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array.
@@ -46,8 +52,8 @@ class ArrayConfig:
     element_spacing: Optional[float] = None
 
     def __post_init__(self):
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be at least 1")
+        if not (_is_integer(self.num_antennas) and self.num_antennas >= 1):
+            raise ValueError("num_antennas must be an integer of at least 1")
         if not 0 < self.carrier_freq < np.inf:  # also rejects nan
             raise ValueError("carrier_freq must be positive and finite")
         if self.element_spacing is None:
@@ -110,8 +116,8 @@ class ClusterSpec:
             raise ValueError("angle_spread must be non-negative")
         if not self.distance_spread >= 0:
             raise ValueError("distance_spread must be non-negative")
-        if self.subpath_count < 1:
-            raise ValueError("subpath_count must be at least 1")
+        if not (_is_integer(self.subpath_count) and self.subpath_count >= 1):
+            raise ValueError("subpath_count must be an integer of at least 1")
         if not self.power_decay_rate >= 0:
             raise ValueError("power_decay_rate must be non-negative")
 
@@ -125,8 +131,8 @@ class SubcarrierGrid:
     spacing: float = 0.0
 
     def __post_init__(self):
-        if self.subcarrier_count < 1:
-            raise ValueError("subcarrier_count must be at least 1")
+        if not (_is_integer(self.subcarrier_count) and self.subcarrier_count >= 1):
+            raise ValueError("subcarrier_count must be an integer of at least 1")
         if not (np.isfinite(self.spacing) and np.isfinite(self.center_freq) and np.all(self.frequencies > 0)):
             raise ValueError("frequencies must be finite and positive")
 

@@ -168,7 +168,8 @@ def complete_bdcs(
     domain, inf everything to the polar one), angular otherwise; it requires
     both, and a negative or nan boundary or a non-positive or nan distance
     raises ValueError. by_residual: run both and keep the smaller final
-    relative residual, ties going to the cheaper angular domain. Both
+    relative residual, ties going to the cheaper angular domain; it takes
+    neither a boundary nor a distance (ConfigurationError). Both
     pursuits run with ``cfg``; a cfg.partition that does not cover a
     domain's measurement columns is refused by bsomp.
     """
@@ -183,6 +184,8 @@ def complete_bdcs(
             return bsomp(polar_measurement, obs, cfg, si)
         return bsomp(angular_measurement, obs, cfg, si)
     if routing == "by_residual":
+        if boundary is not None or distance is not None:
+            raise ConfigurationError("by_residual routing takes no boundary or distance")
         angular = bsomp(angular_measurement, obs, cfg, si)
         polar = bsomp(polar_measurement, obs, cfg, si)
         if polar.final_residual < angular.final_residual:

@@ -13,9 +13,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .channel import _is_integer
 from .dictionaries import Dictionary
 from .errors import ConfigurationError
-from .recovery import RecoveryConfig, _greedy_blocks, _is_integer
+from .recovery import RecoveryConfig, _greedy_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +50,9 @@ class PrecoderPair:
     f_bb: np.ndarray
 
     def __post_init__(self):
+        for name, stage in (("F_RF", self.f_rf), ("F_BB", self.f_bb)):
+            if np.ndim(stage) != 2:
+                raise ValueError(f"{name} must be a 2-D matrix, got shape {np.shape(stage)}")
         n_t, n_rf = self.f_rf.shape
         n_rf_b, n_s = self.f_bb.shape
         if n_rf != n_rf_b:
@@ -136,6 +140,8 @@ def block_sparse_precoding(
     ``ConfigurationError``.
     """
     f_opt = np.asarray(f_opt)
+    if f_opt.ndim != 2:
+        raise ValueError(f"f_opt must be a 2-D N_t x N_s matrix, got shape {f_opt.shape}")
     if not np.all(np.isfinite(f_opt)):
         raise ValueError("f_opt entries must be finite")
     n_t, n_s = f_opt.shape

@@ -39,18 +39,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .channel import _is_integer
 from .dictionaries import BlockPartition, Dictionary
 from .errors import ConfigurationError
 from .sensing import MeasurementMatrix, Observation, PilotMatrix
 
 NMSE_FLOOR_DB = -300.0
 """Lower clamp returned by nmse() for numerically exact reconstructions."""
-
-
-def _is_integer(value) -> bool:
-    """The library's rule for a count or an index: an int or a numpy integer,
-    not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -266,10 +261,6 @@ def _first_correlation(target: np.ndarray, screen: np.ndarray) -> np.ndarray:
     return _screen_product(rows.reshape(-1, target.shape[1]), screen).reshape(len(target), target.shape[2], -1)
 
 
-_SLOTTED = ("q", "qh", "t", "qy", "solution")
-"""The stack arrays with a slot axis; a stop moves only their filled slots."""
-
-
 def _greedy_blocks(
     columns: np.ndarray, targets: np.ndarray, partition: BlockPartition, max_blocks: int,
     tolerance: float | np.ndarray, weights: Optional[np.ndarray] = None, decay_floor: Optional[float] = None,
@@ -289,15 +280,15 @@ def _greedy_blocks(
     Blocks are screened in single precision: C = R^H columns / (||target||
     c_max), c_max the largest column norm, is kept in complex64 against
     ``screen``, the columns over c_max in complex64 (``_single_precision``
-    of ``columns``), which every caller passes from its own cache. C of the
-    first step is ``_first_correlation`` of the targets, or ``corr0`` when
-    given: that of each target, which a caller that runs several pursuits
-    on one target computes once for all; it is not written to. A
-    running bound e on every |C^ - C| starts at _dot_error(M) and grows
-    with each update by the norms of its factors, so block b's screened
-    score is within L_b (2 e sqrt(S) ||R|| + S e^2), plus the rounding of
-    its float32 squares and sums, of the exact one (both times
-    weights[b]). Blocks whose upper bound reaches the best lower bound,
+    of ``columns``), which every caller passes from its own cache. C is
+    formed before the first step, as ``_first_correlation`` of the targets,
+    or taken from ``corr0`` when given: that of each target, which a caller
+    that runs several pursuits on one target computes once for all; it is
+    not written to. A running bound e on every |C^ - C| starts at
+    _dot_error(M) and grows with each update by the norms of its factors, so
+    block b's screened score is within L_b (2 e sqrt(S) ||R|| + S e^2), plus
+    the rounding of its float32 squares and sums, of the exact one (both
+    times weights[b]). Blocks whose upper bound reaches the best lower bound,
     less the tie width, are candidates; a lone candidate is selected,
     otherwise the candidates' float64 scores, over their columns only,
     decide. So the selection is that of float64 scores, and the
@@ -343,22 +334,21 @@ def _greedy_blocks(
     stop. The trial and the stop solve the same system over the same slots,
     or, for a halted pursuit, over slots that differ by trailing identity
     padding, which leaves the solution as it is, so the result is that of a
-    solve at the stop bit for bit. A pursuit that stops leaves the stack,
-    which shrinks in place: each row past the first stopped one moves up, by
-    its k L filled slots only in Q, Q^H, T, Q^H target and the stored
-    solutions. The decay rule sums a block's coefficient energy over its L
-    slots, zeros included, by ``_sq_norms``, not by a per-pursuit ``np.sum``
-    over its columns; the order can change a decision only for an energy
-    ratio within rounding of ``decay_floor``. Every float64 operation on the
-    basis, the residual and the coefficients acts on each row alone with
-    shapes set by the call and the step, and the bound e holds for any
-    summation order of the complex64 products, so each pursuit selects, and
-    returns, exactly what it would alone; a close call's candidates may
-    depend on the batch through the screen's rounding, and with them the
-    shape of its rescoring product, so its exact scores may round otherwise
-    in another batch, which could change a selection only for a score within
-    rounding of the tie width. The price is memory: T has (L min(K,
-    max_columns))^2 entries per pursuit, K the block budget.
+    solve at the stop bit for bit. A pursuit that stops leaves the stack:
+    its rows leave every stack array in one row selection. The decay rule
+    sums a block's coefficient energy over its L slots, zeros included, by
+    ``_sq_norms``, not by a per-pursuit ``np.sum`` over its columns; the
+    order can change a decision only for an energy ratio within rounding of
+    ``decay_floor``. Every float64 operation on the basis, the residual and
+    the coefficients acts on each row alone with shapes set by the call and
+    the step, and the bound e holds for any summation order of the complex64
+    products, so each pursuit selects, and returns, exactly what it would
+    alone; a close call's candidates may depend on the batch through the
+    screen's rounding, and with them the shape of its rescoring product, so
+    its exact scores may round otherwise in another batch, which could
+    change a selection only for a score within rounding of the tie width.
+    The price is memory: T has (L min(K, max_columns))^2 entries per
+    pursuit, K the block budget.
 
     A pursuit stops at min(max_blocks, block count) blocks, a relative
     residual at or below its ``tolerance`` (one for all targets, or a (B,)
@@ -393,7 +383,7 @@ def _greedy_blocks(
         halted=total == 0.0,  # a zero target, or the decay rule discarded the last block
         excluded=np.zeros((n, num_blocks), dtype=bool),  # blocks that are not candidates
         solution=np.zeros((n, slots, s), dtype),  # each support's coefficients, once a decay trial solved them
-        corr=corr0,
+        corr=_first_correlation(target, screen) if corr0 is None else corr0,
     )
     results = [None] * n
     # the score index of each column score: block b of target i is i * num_blocks + b
@@ -422,23 +412,11 @@ def _greedy_blocks(
         if len(stopped) == len(running):
             break
         if len(stopped):
-            # the stack shrinks in place: each row past the first stopped one moves up,
-            # by its filled slots only in the arrays with a slot axis
-            keep = np.flatnonzero(running)
-            to, moved = slice(stopped[0], len(keep)), keep[stopped[0]:]
-            p.q[to, :, held] = p.q[moved, :, held]
-            p.t[to, held, held] = p.t[moved, held, held]
-            for v in (p.qh, p.qy, p.solution):
-                v[to, held] = v[moved, held]
-            p = SimpleNamespace(**{name: v if v is None else v[:len(keep)] if name in _SLOTTED else v[running]
-                                   for name, v in vars(p).items()})
+            p = SimpleNamespace(**{name: v[running] for name, v in vars(p).items()})
             last = last[running]
         live = np.arange(len(p.ids))
 
-        if not k:
-            if p.corr is None:
-                p.corr = _first_correlation(p.target, screen)
-        else:
+        if k:
             # corr -= w^H (U^H screen), w = U^H target / ||target||; the row of a
             # missing direction is zero, and so is its product
             new = np.count_nonzero(p.filled[:, previous], axis=1)

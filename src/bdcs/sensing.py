@@ -16,7 +16,7 @@ from .dictionaries import Dictionary, _single_precision
 class PilotMatrix:
     """Q x N pilot combining matrix. Generated pilots have every entry at
     modulus 1/sqrt(Q) (analog phase-shifter model); direct construction with
-    other matrices (e.g. identity) is allowed for baselines.
+    other finite matrices (e.g. identity) is allowed for baselines.
 
     ``entries`` is a read-only copy of the matrix passed in, so the cached
     ``pseudo_inverse`` can never go stale.
@@ -28,6 +28,8 @@ class PilotMatrix:
         e = np.array(self.entries)
         if e.ndim != 2 or e.shape[0] < 1:
             raise ValueError("pilot entries must form a Q x N matrix with Q >= 1")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("pilot entries must be finite")
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 

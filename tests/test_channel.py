@@ -293,6 +293,10 @@ class TestValidation:
             (lambda: SubcarrierGrid(4, np.inf, 240e3), "frequencies"),
             (lambda: SubcarrierGrid(4, 30e9, np.nan), "frequencies"),
             (lambda: SubcarrierGrid(1, 30e9, np.inf), "frequencies"),
+            (lambda: ArrayConfig(2.5, 30e9), "num_antennas"),
+            (lambda: ArrayConfig(True, 30e9), "num_antennas"),
+            (lambda: SubcarrierGrid(2.5, 30e9, 1e3), "subcarrier_count"),
+            (lambda: ClusterSpec(0.1, 10.0, subpath_count=2.5), "subpath_count"),
         ],
     )
     def test_nan_refused_naming_the_value(self, build, name):

@@ -254,6 +254,16 @@ class TestCompleteBdcs:
         with pytest.raises(ConfigurationError):
             complete_bdcs(obs, self.mm_ang, self.mm_pol, self.cfg, routing="by_distance")
 
+    @pytest.mark.parametrize("boundary, distance", [(5.0, None), (None, 1.0), (5.0, 1.0)])
+    def test_by_residual_refuses_routing_inputs(self, boundary, distance):
+        # these were dropped without a word
+        obs, _ = self.polar_grid_observation()
+        with pytest.raises(ConfigurationError, match="by_residual"):
+            complete_bdcs(
+                obs, self.mm_ang, self.mm_pol, self.cfg,
+                routing="by_residual", boundary=boundary, distance=distance,
+            )
+
     def test_unknown_routing_rejected(self):
         obs, _ = self.polar_grid_observation()
         with pytest.raises(ConfigurationError):

@@ -46,14 +46,21 @@ _CHANNEL = MatrixChannel(np.eye(4, 16, dtype=complex))
         (lambda: optimal_precoder(_CHANNEL, True), "num_streams"),
         (lambda: block_sparse_precoding(np.eye(16, 1), build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1), True),
          "num_rf_chains"),
+        (lambda: block_sparse_precoding(np.ones(16), build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1), 4),
+         "f_opt"),
+        (lambda: block_sparse_precoding(np.ones((16, 1, 1)), build_angular_dictionary(ArrayConfig(16, 30e9), 1, 1), 4),
+         "f_opt"),
+        (lambda: PrecoderPair(np.ones(4) / 2, np.ones((1, 1))), "F_RF"),
+        (lambda: PrecoderPair(np.ones((4, 1)) / 2, np.ones(1)), "F_BB"),
     ],
     ids=["one-dimensional-precoder", "precoder-without-streams", "fractional-streams", "boolean-streams",
-         "boolean-chains"],
+         "boolean-chains", "one-dimensional-f-opt", "three-dimensional-f-opt", "one-dimensional-f-rf",
+         "one-dimensional-f-bb"],
 )
 def test_shape_and_count_boundaries_name_the_value(call, name):
-    # these failed with IndexError, ZeroDivisionError and TypeError, or ran
-    # one stream or chain; the message starts with the value's name, which
-    # the config layer maps to its key
+    # these failed with IndexError, ZeroDivisionError, TypeError or a tuple
+    # unpacking error, or ran one stream or chain; the message starts with
+    # the value's name, which the config layer maps to its key
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
 

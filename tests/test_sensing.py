@@ -46,6 +46,15 @@ class TestPilotMatrix:
         with pytest.raises(ValueError):
             make_pilot_matrix(0, 8, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # a non-finite pilot made a non-finite measurement matrix, on which
+        # bsomp returned a nan residual and ls_estimate's SVD did not converge
+        entries = make_pilot_matrix(4, 8, seed=0).entries.copy()
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match="^pilot entries must be finite"):
+            PilotMatrix(entries)
+
     def test_entries_are_read_only(self):
         p = make_pilot_matrix(4, 8, seed=0)
         with pytest.raises(ValueError):
