@@ -24,8 +24,8 @@ import numpy as np
 from .channel import (
     ArrayConfig,
     ClusterSpec,
-    PathParam,
     SubcarrierGrid,
+    _draw_paths,
     rayleigh_distance,
     synthesize_channel,
     synthesize_matrix_channel,
@@ -63,7 +63,8 @@ class ChannelSettings:
     angle_range: tuple[float, float] = (-0.866, 0.866)  # 120 degree sector
 
     def cluster(self, angle: float, distance: float) -> ClusterSpec:
-        """The sweep's scatterer cluster of one user, centred at (angle, distance)."""
+        """The sweeps' scatterer cluster centred at (angle, distance): of one
+        user in the NMSE sweeps, and the transmit side of the SE sweep's link."""
         return ClusterSpec(angle, distance, self.angle_spread, self.distance_spread_frac * distance,
                            self.paths_per_user, self.power_decay_rate)
 
@@ -500,7 +501,11 @@ def run_nmse_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> li
 def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
     """Spectral efficiency of the SVD precoder and its hybrid approximations
     (angular and polar dictionaries) versus SNR, single link at the first
-    configured distance. mean_db carries bits/s/Hz here. The precoders do
+    configured distance. mean_db carries bits/s/Hz here. The link's transmit
+    paths are one scatterer cluster (``ChannelSettings.cluster``) centred
+    at an angle uniform in ``angle_range``, its paths drawn by the NMSE
+    sweeps' rule, so every ``channel:`` key but ``num_users`` applies; each
+    path's receive angle is uniform in [-1, 1]. The precoders do
     not depend on the SNR, so each trial draws one link, precodes it once
     and scores it at every SNR point: the points of a trial are paired, and
     a row's bytes do not depend on the other SNRs listed. An SNR of +inf,
@@ -514,13 +519,9 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
     def trial_values(trial):
         """Per SNR point, the SE of each precoder on the trial's link."""
         rng = np.random.default_rng(_child_seed(cfg.seed, 4, 0, trial))
-        paths = []
-        rx_angles = []
-        for _ in range(cfg.channel.paths_per_user):
-            r = distance * (1.0 + cfg.channel.distance_spread_frac * rng.uniform(-1, 1))
-            gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            paths.append(PathParam(float(rng.uniform(*cfg.channel.angle_range)), float(r), complex(gain)))
-            rx_angles.append(float(rng.uniform(-1, 1)))
+        cluster = cfg.channel.cluster(float(rng.uniform(*cfg.channel.angle_range)), distance)
+        paths = _draw_paths([cluster], rng)
+        rx_angles = rng.uniform(-1.0, 1.0, len(paths))
         channel = MatrixChannel(synthesize_matrix_channel(cfg.array, cfg.rx_array, paths, rx_angles))
         f_opt = optimal_precoder(channel, pre.num_streams)
         precoders = {"optimal": f_opt}

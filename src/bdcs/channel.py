@@ -237,30 +237,14 @@ def rayleigh_distance(array: ArrayConfig) -> float:
     return 2.0 * array.aperture**2 / array.wavelength
 
 
-def synthesize_channel(
-    array: ArrayConfig,
-    clusters: Sequence[ClusterSpec],
-    grid: SubcarrierGrid,
-    seed: int,
-) -> ChannelRealization:
-    """Draw a clustered multi-path channel across all subcarriers.
+def _draw_paths(clusters: Sequence[ClusterSpec], rng: np.random.Generator) -> list:
+    """The library's rule for drawing the paths of scatterer clusters.
 
     For every cluster, ``subpath_count`` sub-paths are drawn uniformly within
     the stated angle/distance spreads (clipped to the valid domain); sub-path
-    ``l`` has expected power exp(-power_decay_rate * l). Per subcarrier k,
-
-        h_k = sqrt(N / L) * sum_l g_l * rot_{l,k} * steering_near(r_l, angle_l)
-
-    where L is the total path count and rot_{l,k} is a unit-modulus rotation
-    exp(-j 2 pi (f_k - f_center) r_l / c), so the gain magnitude profile is
-    shared across subcarriers and the block support is common to all of them.
-
-    The same seed reproduces the exact same realization.
+    ``l`` has expected power exp(-power_decay_rate * l) and a circularly
+    symmetric Gaussian gain. Returns the PathParams of all clusters in order.
     """
-    if len(clusters) == 0:
-        raise ValueError("at least one cluster is required")
-    rng = np.random.default_rng(seed)
-
     paths = []
     for cluster in clusters:
         count = cluster.subpath_count
@@ -272,7 +256,33 @@ def synthesize_channel(
         gains = mags * (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
         for a, r, g in zip(angles, dists, gains):
             paths.append(PathParam(float(a), float(r), complex(g)))
+    return paths
 
+
+def synthesize_channel(
+    array: ArrayConfig,
+    clusters: Sequence[ClusterSpec],
+    grid: SubcarrierGrid,
+    seed: int,
+) -> ChannelRealization:
+    """Draw a clustered multi-path channel across all subcarriers.
+
+    The paths of the clusters are drawn by the library's one path rule
+    (``_draw_paths``: uniform sub-paths within each cluster's spreads,
+    sub-path ``l`` with expected power exp(-power_decay_rate * l)). Per
+    subcarrier k,
+
+        h_k = sqrt(N / L) * sum_l g_l * rot_{l,k} * steering_near(r_l, angle_l)
+
+    where L is the total path count and rot_{l,k} is a unit-modulus rotation
+    exp(-j 2 pi (f_k - f_center) r_l / c), so the gain magnitude profile is
+    shared across subcarriers and the block support is common to all of them.
+
+    The same seed reproduces the exact same realization.
+    """
+    if len(clusters) == 0:
+        raise ValueError("at least one cluster is required")
+    paths = _draw_paths(clusters, np.random.default_rng(seed))
     num_paths = len(paths)
     k_count = grid.subcarrier_count
     offsets_hz = grid.frequencies - grid.center_freq

@@ -548,19 +548,47 @@ class TestSeSnr:
     def test_one_link_and_one_precoding_per_trial(self, monkeypatch, snr_db):
         import bdcs.bench
 
-        calls = {}
+        calls = {}  # per wrapped name, the positional arguments of each call
         for name in ("synthesize_matrix_channel", "optimal_precoder", "block_sparse_precoding", "spectral_efficiency"):
             def counted(*args, _call=getattr(bdcs.bench, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                calls.setdefault(_name, []).append(args)
                 return _call(*args, **kwargs)
 
             monkeypatch.setattr(bdcs.bench, name, counted)
         cfg = tiny_config(snr_db=snr_db, distances=[6.0], trials=3)
         run_se_vs_snr(cfg)
-        assert calls == {
+        assert {name: len(args) for name, args in calls.items()} == {
             "synthesize_matrix_channel": 3, "optimal_precoder": 3, "block_sparse_precoding": 2 * 3,
             "spectral_efficiency": 3 * 3 * len(snr_db),
         }
+        # each link's transmit paths are one scatterer cluster of the config
+        ch, distance, slack = cfg.channel, 6.0, 1e-12
+        for _, _, tx_paths, rx_angles in calls["synthesize_matrix_channel"]:
+            assert len(tx_paths) == len(rx_angles) == ch.paths_per_user
+            angles = [p.spatial_angle for p in tx_paths]
+            # a centre in angle_range lies within angle_spread of every angle
+            # (clipping to [-1, 1] only moves an angle towards its centre)
+            low, high = max(angles) - ch.angle_spread, min(angles) + ch.angle_spread
+            assert max(low, ch.angle_range[0]) <= min(high, ch.angle_range[1]) + slack
+            for p in tx_paths:
+                assert abs(p.distance - distance) <= ch.distance_spread_frac * distance + slack
+
+    @pytest.mark.parametrize("key, value, moves", [
+        ("angle_spread", 0.2, True),
+        ("power_decay_rate", 2.0, True),
+        ("distance_spread_frac", 0.3, True),
+        ("paths_per_user", 5, True),
+        ("angle_range", [-0.5, 0.5], True),
+        ("num_users", 3, False),  # the sweep scores a single link
+    ])
+    def test_every_channel_key_but_num_users_moves_the_rows(self, key, value, moves):
+        def rows(channel):
+            cfg = tiny_config(channel={**TINY["channel"], **channel}, snr_db=[0.0, 10.0], distances=[6.0], trials=2)
+            return [(p.x, p.method, p.mean_db.hex()) for p in run_se_vs_snr(cfg)]
+
+        base, changed = rows({}), rows({key: value})
+        assert len(base) == len(changed) == 6
+        assert all((a != b) == moves for a, b in zip(base, changed))
 
     def test_full_chain_budget_tracks_optimal(self):
         cfg = tiny_config(
