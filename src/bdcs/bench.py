@@ -26,6 +26,7 @@ from .channel import (
     ClusterSpec,
     SubcarrierGrid,
     _draw_paths,
+    _is_integer,
     rayleigh_distance,
     synthesize_channel,
     synthesize_matrix_channel,
@@ -139,8 +140,8 @@ class ExperimentConfig:
     partition: PartitionSettings = field(default_factory=PartitionSettings)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigurationError("config key 'trials': must be at least 1")
+        if not (_is_integer(self.trials) and self.trials >= 1):
+            raise ConfigurationError("config key 'trials': must be an integer of at least 1")
         methods = set(self.methods)
         if not methods <= set(VALID_METHODS) or not 0 < len(methods) == len(self.methods):
             raise ConfigurationError(
@@ -149,10 +150,10 @@ class ExperimentConfig:
         snr = self.snr_db
         if not (len(snr) == len(set(snr)) > 0 and all(np.isfinite(s) or np.isposinf(s) for s in snr)):
             raise ConfigurationError("config key 'snr_db': must be non-empty with distinct entries finite or +inf")
-        if self.seed < 0:
-            raise ConfigurationError(f"config key 'seed': must be non-negative, got {self.seed}")
-        if self.channel.num_users < 1:
-            raise ConfigurationError("config key 'channel.num_users': must be at least 1")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigurationError(f"config key 'seed': must be a non-negative integer, got {self.seed!r}")
+        if not (_is_integer(self.channel.num_users) and self.channel.num_users >= 1):
+            raise ConfigurationError("config key 'channel.num_users': must be an integer of at least 1")
         if not (np.isfinite(self.pilot_fraction) and self.pilot_count >= 1):
             raise ConfigurationError("config key 'pilot.fraction': must give at least one pilot")
         grid_key = "distances" if self.distances else "rayleigh_fracs"
@@ -443,27 +444,21 @@ class Workbench:
 
 
 MAX_BATCH_OBSERVATIONS = 16
-"""Most observations a sweep holds at once. It scores its cells in chunks of
-whole cells with at most this many observations, and never less than one
-cell, so each chunk runs one batch per measurement matrix, whatever the
-residual tolerances of its observations. Every observation keeps its stored
-pursuit results, about 0.05 MB at the reference preset (mostly the three
-reconstructed (K, N) channels; the coefficients are kept on the support
+"""Most observations an NMSE sweep holds at once. It scores its cells in
+chunks of whole cells with at most this many observations, and never less
+than one cell, so each chunk runs one batch per measurement matrix, whatever
+the residual tolerances of its observations. Every observation keeps its
+stored pursuit results, about 0.05 MB at the reference preset (mostly the
+three reconstructed (K, N) channels; the coefficients are kept on the support
 only), until its cell is scored, and a lockstep batch holds state for each
 of its observations: a larger chunk shares more of each correlation product,
 but holds more memory."""
 
 
-def _sweep(cfg: ExperimentConfig, xs, labels, cell_values, cell_size: int, out_path) -> list:
-    """Shared aggregation loop: per x and label, the mean and standard error
-    over trials of the value of each cell (x_idx, x, trial). The cells are
-    walked x-major in chunks of whole cells of ``cell_size`` observations
-    each (see MAX_BATCH_OBSERVATIONS); cell_values(chunk) returns, per cell
-    of the chunk, a mapping from label to value. Writes the CSV when
-    out_path is set."""
-    cells = [(x_idx, x, trial) for x_idx, x in enumerate(xs) for trial in range(cfg.trials)]
-    step = max(1, MAX_BATCH_OBSERVATIONS // cell_size)
-    values = [v for start in range(0, len(cells), step) for v in cell_values(cells[start:start + step])]
+def _sweep(cfg: ExperimentConfig, xs, labels, values, out_path) -> list:
+    """Shared aggregation: per x and label, the mean and standard error over
+    trials. ``values`` holds one label -> value mapping per cell, x-major
+    (cell ``x_idx * trials + trial``). Writes the CSV when out_path is set."""
     points: list = []
     for x_idx, x in enumerate(xs):
         trials = values[x_idx * cfg.trials:(x_idx + 1) * cfg.trials]
@@ -478,13 +473,13 @@ def _sweep(cfg: ExperimentConfig, xs, labels, cell_values, cell_size: int, out_p
 
 def _nmse_sweep(cfg: ExperimentConfig, xs, point, out_path) -> list:
     """NMSE of every configured method along ``xs``, point(x) giving the
-    (distance, snr_db) of each x."""
+    (distance, snr_db) of each x; the cells are scored in chunks of whole
+    cells (see MAX_BATCH_OBSERVATIONS)."""
     bench = Workbench(cfg)
-    return _sweep(
-        cfg, xs, cfg.methods,
-        lambda cells: bench.nmse_cells([(x_idx, trial, *point(x)) for x_idx, x, trial in cells]),
-        cfg.channel.num_users, out_path,
-    )
+    cells = [(x_idx, trial, *point(x)) for x_idx, x in enumerate(xs) for trial in range(cfg.trials)]
+    step = max(1, MAX_BATCH_OBSERVATIONS // cfg.channel.num_users)
+    values = [v for start in range(0, len(cells), step) for v in bench.nmse_cells(cells[start:start + step])]
+    return _sweep(cfg, xs, cfg.methods, values, out_path)
 
 
 def run_nmse_vs_distance(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list:
@@ -531,5 +526,5 @@ def run_se_vs_snr(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list
                 for snr_db in cfg.snr_db]
 
     per_trial = [trial_values(trial) for trial in range(cfg.trials)]
-    labels = ("optimal", "hybrid_angular", "hybrid_polar")
-    return _sweep(cfg, cfg.snr_db, labels, lambda cells: [per_trial[t][s] for s, _, t in cells], 1, out_path)
+    values = [per_trial[t][s] for s in range(len(cfg.snr_db)) for t in range(cfg.trials)]
+    return _sweep(cfg, cfg.snr_db, ("optimal", "hybrid_angular", "hybrid_polar"), values, out_path)

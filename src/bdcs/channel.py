@@ -32,6 +32,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer of at least 1 (see _is_integer),
+    with a message that starts with its name."""
+    if not (_is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array.
@@ -52,14 +59,13 @@ class ArrayConfig:
     element_spacing: Optional[float] = None
 
     def __post_init__(self):
-        if not (_is_integer(self.num_antennas) and self.num_antennas >= 1):
-            raise ValueError("num_antennas must be an integer of at least 1")
+        _check_count("num_antennas", self.num_antennas)
         if not 0 < self.carrier_freq < np.inf:  # also rejects nan
             raise ValueError("carrier_freq must be positive and finite")
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
-        if not self.element_spacing > 0:
-            raise ValueError("element_spacing must be positive")
+        if not 0 < self.element_spacing < np.inf:
+            raise ValueError("element_spacing must be positive and finite")
 
     @property
     def wavelength(self) -> float:
@@ -90,6 +96,8 @@ class PathParam:
             raise ValueError("spatial_angle must lie in [-1, 1]")
         if not self.distance > 0:
             raise ValueError("distance must be positive")
+        if not np.isfinite(self.complex_gain):
+            raise ValueError("complex_gain must be finite")
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,10 @@ class ClusterSpec:
             raise ValueError("center_angle must lie in [-1, 1]")
         if not 0 < self.center_distance < np.inf:  # also rejects nan
             raise ValueError("center_distance must be positive and finite")
-        if not self.angle_spread >= 0:
-            raise ValueError("angle_spread must be non-negative")
-        if not self.distance_spread >= 0:
-            raise ValueError("distance_spread must be non-negative")
-        if not (_is_integer(self.subpath_count) and self.subpath_count >= 1):
-            raise ValueError("subpath_count must be an integer of at least 1")
-        if not self.power_decay_rate >= 0:
-            raise ValueError("power_decay_rate must be non-negative")
+        for name in ("angle_spread", "distance_spread", "power_decay_rate"):
+            if not 0 <= getattr(self, name) < np.inf:  # also rejects nan
+                raise ValueError(f"{name} must be finite and non-negative")
+        _check_count("subpath_count", self.subpath_count)
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,7 @@ class SubcarrierGrid:
     spacing: float = 0.0
 
     def __post_init__(self):
-        if not (_is_integer(self.subcarrier_count) and self.subcarrier_count >= 1):
-            raise ValueError("subcarrier_count must be an integer of at least 1")
+        _check_count("subcarrier_count", self.subcarrier_count)
         if not (np.isfinite(self.spacing) and np.isfinite(self.center_freq) and np.all(self.frequencies > 0)):
             raise ValueError("frequencies must be finite and positive")
 

@@ -14,9 +14,11 @@ are all far-field; polar columns run, per angle, inf first and then the
 rings far to near.
 
 Both builders are memoized by their arguments, which are hashable values:
-an equal call returns the same read-only Dictionary, with its cached
-``single_precision`` screen. Each keeps only its most recent grid, so a
-process holds one dictionary of each kind, as much as one sweep holds.
+an equal call, with arguments of the same types, returns the same read-only
+Dictionary, with its cached ``single_precision`` screen (so a count passed
+as a float or a bool is refused, never served from the memo). Each keeps
+only its most recent grid, so a process holds one dictionary of each kind,
+as much as one sweep holds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ArrayConfig, steering, steering_far
+from .channel import ArrayConfig, _check_count, steering, steering_far
 from .errors import ConfigurationError
 
 DEFAULT_POLAR_BETA = 1.15
@@ -191,7 +193,7 @@ def build_angular_dictionary(
     return _angular_grid(array, oversampling, block_length)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _angular_grid(array: ArrayConfig, oversampling: int, block_length: int) -> Dictionary:
     partition = angular_partition(array, oversampling, block_length)
     g = partition.size
@@ -202,8 +204,8 @@ def _angular_grid(array: ArrayConfig, oversampling: int, block_length: int) -> D
 
 def angular_partition(array: ArrayConfig, oversampling: int = 1, block_length: int = 1) -> BlockPartition:
     """Blocks of ``block_length`` over the G = oversampling * N angular columns."""
-    if oversampling < 1:
-        raise ValueError("oversampling must be at least 1")
+    _check_count("oversampling", oversampling)
+    _check_count("block_length", block_length)
     return BlockPartition.uniform(oversampling * array.num_antennas, block_length)
 
 
@@ -280,10 +282,9 @@ def build_polar_dictionary(
     return dictionary
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _polar_grid(array: ArrayConfig, beta: float, r_min: float, block_length: int) -> Dictionary:
-    if block_length < 1:
-        raise ValueError("block_length must be at least 1")
+    _check_count("block_length", block_length)
     polar_atom_count(array, beta, r_min)
     grid = _polar_angles(array)
     runs = [np.concatenate(([np.inf], polar_ring_distances(array, beta, r_min, a))) for a in grid]

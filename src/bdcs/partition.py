@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import ArrayConfig, steering_near
+from .channel import ArrayConfig, _check_count, steering_near
 from .dictionaries import Dictionary, DictionaryMetrics
 from .errors import ConfigurationError
 from .recovery import RecoveryConfig, RecoveryResult, SideInformation, bsomp
@@ -66,8 +66,7 @@ def check_profile(distance_grid: Sequence[float], eta: float, trials: int) -> No
         raise ValueError("distances must be non-empty and distinct")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
 
 
 def sparsity_profile(

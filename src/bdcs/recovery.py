@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import _is_integer
+from .channel import _check_count, _is_integer
 from .dictionaries import BlockPartition, Dictionary
 from .errors import ConfigurationError
 from .sensing import MeasurementMatrix, Observation, PilotMatrix
@@ -90,8 +90,7 @@ class RecoveryConfig:
     partition: Optional[BlockPartition] = None
 
     def __post_init__(self):
-        if not (_is_integer(self.max_blocks) and self.max_blocks >= 1):
-            raise ValueError("max_blocks must be an integer of at least 1")
+        _check_count("max_blocks", self.max_blocks)
         if not self.residual_tolerance >= 0:  # also rejects nan
             raise ValueError("residual_tolerance must be non-negative")
         if not isinstance(self.partition, (BlockPartition, type(None))):

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _check_count
 from .dictionaries import Dictionary, _single_precision
 
 
@@ -116,8 +116,8 @@ class MeasurementMatrix:
 
 def make_pilot_matrix(pilot_count: int, num_antennas: int, seed: int) -> PilotMatrix:
     """Random-phase pilot: entries (1/sqrt(Q)) * exp(j phi), phi ~ U[0, 2pi)."""
-    if pilot_count < 1:
-        raise ValueError("pilot_count must be at least 1")
+    _check_count("pilot_count", pilot_count)
+    _check_count("num_antennas", num_antennas)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(pilot_count, num_antennas))
     return PilotMatrix(np.exp(1j * phases) / np.sqrt(pilot_count))

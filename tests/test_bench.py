@@ -17,6 +17,7 @@ from bdcs.bench import (
     VALID_METHODS,
     ChannelSettings,
     ExperimentConfig,
+    PartitionSettings,
     RecoverySettings,
     Workbench,
     _coerce,
@@ -122,6 +123,22 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"trials": 2.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"seed": 1.5}, "seed"),
+            ({"channel": ChannelSettings(num_users=2.5)}, "channel.num_users"),
+            ({"partition": PartitionSettings(trials=2.5)}, "partition.trials"),
+        ],
+    )
+    def test_constructed_config_refuses_a_fractional_count(self, changes, key):
+        # replace skips from_dict's coercion, so the config's own rules refuse
+        # these; trials 2.5 reached range() in the sweep, seed 1.5 ran as 1
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            replace(ExperimentConfig(), **changes)
+
+    @pytest.mark.parametrize(
         "raw, key",
         [
             ({"pilot": {"fraction": True}}, "pilot.fraction"),
@@ -216,6 +233,7 @@ OUT_OF_RANGE = [
     ("array.carrier_freq_hz", {"array": {"carrier_freq_hz": float("inf"), "element_spacing_m": 0.005}}),
     ("array.element_spacing_m", {"array": {"element_spacing_m": NAN}}),
     ("array.element_spacing_m", {"array": {"element_spacing_m": 0.0}}),
+    ("array.element_spacing_m", {"array": {"element_spacing_m": float("inf")}}),
     ("subcarriers.count", {"subcarriers": {"count": 0}}),
     ("subcarriers.spacing_hz", {"subcarriers": {"spacing_hz": NAN}}),
     ("subcarriers.spacing_hz", {"subcarriers": {"count": 3, "spacing_hz": float("inf")}}),
@@ -224,10 +242,13 @@ OUT_OF_RANGE = [
     ("channel.paths_per_user", {"channel": {"paths_per_user": 0}}),
     ("channel.angle_spread", {"channel": {"angle_spread": -0.1}}),
     ("channel.angle_spread", {"channel": {"angle_spread": NAN}}),
+    ("channel.angle_spread", {"channel": {"angle_spread": float("inf")}}),
     ("channel.distance_spread_frac", {"channel": {"distance_spread_frac": -0.1}}),
     ("channel.distance_spread_frac", {"channel": {"distance_spread_frac": NAN}}),
+    ("channel.distance_spread_frac", {"channel": {"distance_spread_frac": float("inf")}}),
     ("channel.power_decay_rate", {"channel": {"power_decay_rate": -1.0}}),
     ("channel.power_decay_rate", {"channel": {"power_decay_rate": NAN}}),
+    ("channel.power_decay_rate", {"channel": {"power_decay_rate": float("inf")}}),
     ("channel.angle_range", {"channel": {"angle_range": [-2.0, 2.0]}}),
     ("channel.angle_range", {"channel": {"angle_range": [0.9, -0.9]}}),
     ("channel.angle_range", {"channel": {"angle_range": [NAN, 0.5]}}),

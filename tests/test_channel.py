@@ -284,10 +284,16 @@ class TestValidation:
             (lambda: ArrayConfig(4, np.nan), "carrier_freq"),
             (lambda: ArrayConfig(4, np.inf, 0.005), "carrier_freq"),
             (lambda: ArrayConfig(4, 30e9, np.nan), "element_spacing"),
+            (lambda: ArrayConfig(4, 30e9, np.inf), "element_spacing"),
             (lambda: ClusterSpec(0.0, np.nan), "center_distance"),
             (lambda: ClusterSpec(0.0, 10.0, angle_spread=np.nan), "angle_spread"),
             (lambda: ClusterSpec(0.0, 10.0, distance_spread=np.nan), "distance_spread"),
             (lambda: ClusterSpec(0.0, 10.0, power_decay_rate=np.nan), "power_decay_rate"),
+            (lambda: ClusterSpec(0.0, 10.0, angle_spread=np.inf), "angle_spread"),
+            (lambda: ClusterSpec(0.0, 10.0, distance_spread=np.inf), "distance_spread"),
+            (lambda: ClusterSpec(0.0, 10.0, power_decay_rate=np.inf), "power_decay_rate"),
+            (lambda: PathParam(0.1, 10.0, complex(np.nan, 0.0)), "complex_gain"),
+            (lambda: PathParam(0.1, 10.0, complex(1.0, np.inf)), "complex_gain"),
             (lambda: ClusterSpec(0.0, np.inf), "center_distance"),
             (lambda: SubcarrierGrid(4, np.nan, 240e3), "frequencies"),
             (lambda: SubcarrierGrid(4, np.inf, 240e3), "frequencies"),
